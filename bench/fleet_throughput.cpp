@@ -1,28 +1,24 @@
-// Fleet-level rack throughput: repeated solves of an 8-chip heterogeneous
-// rack on two shared coolant loops (fleet/rack.h) — the unit of work of
-// every fleet_rack sweep scenario and rack_topology optimizer candidate.
+// Fleet-level steady rack throughput: repeated solves of an 8-chip
+// heterogeneous rack on two shared coolant loops (fleet/rack.h) — the unit
+// of work of every fleet_rack sweep scenario and rack_topology optimizer
+// candidate. The staggered trace replay of the same rack is measured by
+// perfbench's fleet_replay workload (perfbench/README.md).
 //
-// Two sections: the steady rack solve (racks/s) and the staggered
-// workload-trace replay, whose headline metric is chip-steps/s — chips x
-// transient steps per wall-clock second, the number that says how big a
-// fleet mission the machinery can replay.
-//
-// Prints a human-readable summary and writes a machine-readable
-// BENCH_fleet.json (schema in docs/BENCHMARKS.md) that the CI Release job
-// uploads as an artifact: rack shape, per-chip segment inlet temperatures
-// (monotonically rising along every serial loop segment), steady racks/s
-// and replay chip-steps/s. A non-flag first argument overrides the JSON
-// path.
-#include <chrono>
+// Prints a human-readable summary and writes BENCH_fleet.json (schema in
+// docs/BENCHMARKS.md): rack shape, per-chip segment inlet temperatures
+// (rising along every serial loop segment) and steady racks/s. An optional
+// first argument overrides the JSON path; the rest go to Google Benchmark.
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
-#include "chip/workload.h"
 #include "core/system_config.h"
 #include "fleet/rack.h"
+#include "harness.h"
 
+namespace bh = brightsi::bench;
 namespace co = brightsi::core;
 namespace fl = brightsi::fleet;
 
@@ -31,11 +27,9 @@ namespace {
 constexpr int kChips = 8;
 constexpr int kLoops = 2;
 constexpr int kSegmentsPerLoop = 2;
-constexpr int kReplaySteps = 10;
-constexpr double kReplayDt = 0.05;
 
 /// The benched rack: 8 chips on 2 loops x 2 serial segments, mixed one- and
-/// two-die stacks, temperature-dependent coolant, staggered duty cycles.
+/// two-die stacks, temperature-dependent coolant.
 fl::RackSpec bench_rack() {
   co::SystemConfig base = co::power7_system_config();
   base.thermal_grid.axial_cells = 8;  // the fleet plans' resolution
@@ -43,152 +37,7 @@ fl::RackSpec bench_rack() {
                                          /*heterogeneous=*/true);
   rack.coolant_laws.temperature_dependent = true;
   rack.coolant_laws.reference_temperature_k = rack.loop_inlet_temperature_k;
-  for (std::size_t i = 0; i < rack.chips.size(); ++i) {
-    rack.chips[i].workload_offset_s = 0.5 * static_cast<double>(i);
-  }
   return rack;
-}
-
-struct SteadyMeasurement {
-  int runs = 0;
-  double wall_s = 0.0;
-  fl::RackSolveResult last;
-
-  [[nodiscard]] double runs_per_s() const { return wall_s > 0.0 ? runs / wall_s : 0.0; }
-};
-
-SteadyMeasurement measure_steady(const fl::RackSpec& rack) {
-  (void)fl::solve_rack_steady(rack);  // warm-up: first-touch allocations
-  SteadyMeasurement m;
-  const auto start = std::chrono::steady_clock::now();
-  while (true) {
-    m.last = fl::solve_rack_steady(rack);
-    ++m.runs;
-    m.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if ((m.wall_s >= 2.0 && m.runs >= 5) || m.runs >= 64) {
-      return m;
-    }
-  }
-}
-
-struct ReplayMeasurement {
-  int runs = 0;
-  double wall_s = 0.0;
-  fl::FleetReplayResult last;
-
-  /// The headline: chips x transient steps per second across the runs.
-  [[nodiscard]] double chip_steps_per_s() const {
-    return wall_s > 0.0 ? static_cast<double>(runs) * kChips * kReplaySteps / wall_s : 0.0;
-  }
-};
-
-ReplayMeasurement measure_replay(const fl::RackSpec& rack) {
-  fl::FleetReplayOptions options;
-  options.trace = brightsi::chip::burst_trace(1);
-  options.dt_s = kReplayDt;
-  options.steps = kReplaySteps;
-  (void)fl::replay_fleet_trace(rack, options);  // warm-up
-  ReplayMeasurement m;
-  const auto start = std::chrono::steady_clock::now();
-  while (true) {
-    m.last = fl::replay_fleet_trace(rack, options);
-    ++m.runs;
-    m.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if ((m.wall_s >= 2.0 && m.runs >= 3) || m.runs >= 32) {
-      return m;
-    }
-  }
-}
-
-void write_json(const char* path, const fl::RackSpec& rack, const SteadyMeasurement& steady,
-                const ReplayMeasurement& replay) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"fleet_throughput\",\n"
-               "  \"chips\": %d,\n"
-               "  \"loops\": %d,\n"
-               "  \"segments_per_loop\": %d,\n"
-               "  \"heterogeneous\": true,\n"
-               "  \"coolant_temp_dep\": true,\n"
-               "  \"inlet_monotonic\": %s,\n"
-               "  \"max_inlet_rise_k\": %.6f,\n"
-               "  \"energy_balance_rel_error\": %.3e,\n",
-               kChips, kLoops, kSegmentsPerLoop, steady.last.inlet_monotonic ? "true" : "false",
-               steady.last.max_inlet_rise_k, steady.last.energy_balance_rel_error);
-  std::fprintf(file, "  \"chip_inlets_k\": {\n");
-  for (std::size_t i = 0; i < steady.last.chips.size(); ++i) {
-    const fl::RackChipResult& c = steady.last.chips[i];
-    std::fprintf(file, "    \"%s\": %.6f%s\n", c.name.c_str(), c.inlet_temperature_k,
-                 i + 1 < steady.last.chips.size() ? "," : "");
-  }
-  std::fprintf(file,
-               "  },\n"
-               "  \"steady\": {\n"
-               "    \"runs\": %d,\n"
-               "    \"wall_s\": %.6f,\n"
-               "    \"racks_per_s\": %.4f,\n"
-               "    \"peak_t_c\": %.4f,\n"
-               "    \"pump_w\": %.6f,\n"
-               "    \"fluid_heat_w\": %.4f\n"
-               "  },\n",
-               steady.runs, steady.wall_s, steady.runs_per_s(),
-               steady.last.peak_temperature_k - 273.15, steady.last.pump_power_w,
-               steady.last.heat_absorbed_w);
-  std::fprintf(file,
-               "  \"replay\": {\n"
-               "    \"steps_per_run\": %d,\n"
-               "    \"dt_s\": %.3f,\n"
-               "    \"runs\": %d,\n"
-               "    \"wall_s\": %.6f,\n"
-               "    \"chip_steps_per_s\": %.4f,\n"
-               "    \"max_peak_t_c\": %.4f,\n"
-               "    \"mean_pump_w\": %.6f,\n"
-               "    \"heat_absorbed_j\": %.4f\n"
-               "  }\n"
-               "}\n",
-               kReplaySteps, kReplayDt, replay.runs, replay.wall_s,
-               replay.chip_steps_per_s(), replay.last.max_peak_temperature_k - 273.15,
-               replay.last.mean_pump_power_w, replay.last.heat_absorbed_j);
-  std::fclose(file);
-  std::printf("wrote %s\n", path);
-  (void)rack;
-}
-
-void print_reproduction(const char* json_path) {
-  const fl::RackSpec rack = bench_rack();
-
-  std::printf("== fleet throughput: %d chips, %d loops x %d serial segments,"
-              " heterogeneous, temp-dependent coolant ==\n",
-              kChips, kLoops, kSegmentsPerLoop);
-  const SteadyMeasurement steady = measure_steady(rack);
-  std::printf("steady: %d rack solves in %.3f s -> %.3f racks/s\n", steady.runs,
-              steady.wall_s, steady.runs_per_s());
-  std::printf("peak %.2f C, pump %.3f W, heat %.1f W, energy balance %.1e\n",
-              steady.last.peak_temperature_k - 273.15, steady.last.pump_power_w,
-              steady.last.heat_absorbed_w, steady.last.energy_balance_rel_error);
-  for (const fl::RackChipResult& c : steady.last.chips) {
-    std::printf("  %-6s loop %d seg %d  inlet %.3f K  flow %.3f  peak %.2f C\n",
-                c.name.c_str(), c.loop, c.segment, c.inlet_temperature_k, c.flow_fraction,
-                c.peak_temperature_k - 273.15);
-  }
-  std::printf("inlet rise along loops: %.3f K, monotonic: %s\n",
-              steady.last.max_inlet_rise_k, steady.last.inlet_monotonic ? "yes" : "NO");
-
-  const ReplayMeasurement replay = measure_replay(rack);
-  std::printf("\nreplay: %d runs x %d steps x %d chips in %.3f s -> %.1f chip-steps/s\n",
-              replay.runs, kReplaySteps, kChips, replay.wall_s, replay.chip_steps_per_s());
-  std::printf("max peak %.2f C, mean pump %.3f W, heat %.1f J\n\n",
-              replay.last.max_peak_temperature_k - 273.15, replay.last.mean_pump_power_w,
-              replay.last.heat_absorbed_j);
-
-  write_json(json_path, rack, steady, replay);
 }
 
 void bm_fleet_steady(benchmark::State& state) {
@@ -202,16 +51,47 @@ BENCHMARK(bm_fleet_steady)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_fleet.json";
-  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
-    json_path = argv[1];
-    for (int i = 1; i + 1 < argc; ++i) {
-      argv[i] = argv[i + 1];
-    }
-    --argc;
+  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_fleet.json");
+  const fl::RackSpec rack = bench_rack();
+
+  std::printf("== fleet throughput: %d chips, %d loops x %d serial segments,"
+              " heterogeneous, temp-dependent coolant ==\n",
+              kChips, kLoops, kSegmentsPerLoop);
+  fl::RackSolveResult last;
+  const bh::Repeats steady =
+      bh::repeat_until_stable([&] { return fl::solve_rack_steady(rack); },
+                              [&](fl::RackSolveResult result) { last = std::move(result); });
+  std::printf("steady: %d rack solves in %.3f s -> %.3f racks/s\n", steady.runs,
+              steady.wall_s, steady.runs_per_s());
+  std::printf("peak %.2f C, pump %.3f W, heat %.1f W, energy balance %.1e\n",
+              last.peak_temperature_k - 273.15, last.pump_power_w, last.heat_absorbed_w,
+              last.energy_balance_rel_error);
+  for (const fl::RackChipResult& c : last.chips) {
+    std::printf("  %-6s loop %d seg %d  inlet %.3f K  flow %.3f  peak %.2f C\n",
+                c.name.c_str(), c.loop, c.segment, c.inlet_temperature_k, c.flow_fraction,
+                c.peak_temperature_k - 273.15);
   }
-  print_reproduction(json_path);
+  std::printf("inlet rise along loops: %.3f K, monotonic: %s\n\n", last.max_inlet_rise_k,
+              last.inlet_monotonic ? "yes" : "NO");
+
+  bh::FlatJson json("fleet_throughput");
+  json.set("chips", kChips);
+  json.set("loops", kLoops);
+  json.set("segments_per_loop", kSegmentsPerLoop);
+  json.set("max_inlet_rise_k", last.max_inlet_rise_k);
+  json.set("energy_balance_rel_error", last.energy_balance_rel_error);
+  for (const fl::RackChipResult& c : last.chips) {
+    json.set("chip_inlets_k." + c.name, c.inlet_temperature_k);
+  }
+  json.set("steady.runs", steady.runs);
+  json.set("steady.wall_s", steady.wall_s);
+  json.set("steady.racks_per_s", steady.runs_per_s());
+  json.set("steady.peak_t_c", last.peak_temperature_k - 273.15);
+  json.set("steady.pump_w", last.pump_power_w);
+  json.set("steady.fluid_heat_w", last.heat_absorbed_w);
+  const bool wrote = json.write(json_path);
+
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return wrote ? 0 : 1;
 }

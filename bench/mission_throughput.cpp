@@ -1,110 +1,34 @@
-// Mission stepping throughput: repeated core::run_mission on the paper's
-// POWER7+ configuration — the unit of work of every mission sweep scenario
-// and the loop the shared transient engine owns (phase-aligned schedule,
-// one solve context across the mission, in-place state hand-off instead of
-// a per-step full-grid copy).
+// Transient stepping, full-grid vs certified reduced-order backend: the
+// same endurance-shaped workload (the burst trace repeated long enough to
+// amortize the reduced basis build) stepped once through the full-grid
+// TransientEngine and once through the reduced backend, reporting both
+// arms plus the steps-per-second speedup and the reduced arm's certificate
+// trail. Whole missions (core::run_mission) are measured by perfbench's
+// mission_store workload (perfbench/README.md).
 //
-// A second section ("endurance_engine") runs a paired backend comparison
-// of the thermal stepping itself: the same endurance-shaped workload (the
-// burst trace repeated long enough to amortize the reduced basis build)
-// stepped once through the full-grid TransientEngine and once through the
-// certified reduced-order backend, reporting both arms plus the
-// steps-per-second speedup and the reduced arm's certificate trail.
-//
-// Prints a human-readable summary and writes a machine-readable
-// BENCH_mission.json (steps/s, thermal-solve vs bus/electrochem time
-// split) next to BENCH_cosim.json in the CI Release job's artifacts. A
-// non-flag first argument overrides the JSON path; --transient full|rom
-// selects the main mission section's stepping backend.
-#include <algorithm>
-#include <chrono>
+// Prints a human-readable summary and writes BENCH_mission.json (schema in
+// docs/BENCHMARKS.md). An optional first argument overrides the JSON path.
 #include <cstdio>
-#include <cstring>
-
-#include <benchmark/benchmark.h>
+#include <string>
 
 #include "chip/power7.h"
-#include "core/mission.h"
+#include "core/system_config.h"
+#include "harness.h"
 #include "thermal/transient.h"
 
-namespace co = brightsi::core;
+namespace bh = brightsi::bench;
 namespace ch = brightsi::chip;
+namespace co = brightsi::core;
 namespace th = brightsi::thermal;
 
 namespace {
 
-co::MissionConfig bench_mission(th::TransientBackend backend) {
-  co::MissionConfig config;
-  config.system = co::power7_system_config();
-  config.system.thermal_grid.axial_cells = 16;
-  config.system.fvm.axial_steps = 60;
-  config.workload = ch::burst_trace(1);  // 3 s of idle | burst | sustain
-  config.reservoir.tank_volume_m3 = 5e-6;
-  config.reservoir.total_vanadium_mol_per_m3 = 2001.0;
-  config.reservoir.chemistry = config.system.chemistry;
-  config.dt_s = 0.05;  // 60 steps per mission
-  config.transient_backend = backend;
-  return config;
-}
-
-struct Measurement {
-  int missions = 0;
-  long long steps = 0;
-  double wall_s = 0.0;
-  long long thermal_iterations = 0;
-  double thermal_assembly_s = 0.0;
-  double thermal_setup_s = 0.0;
-  double thermal_solve_s = 0.0;
-  // Reduced-backend counters (zero on the full backend), summed over
-  // missions except the per-mission maxima, which take the worst mission.
-  long long rom_steps = 0;
-  long long rom_fallbacks = 0;
-  int rom_basis_size = 0;
-  double rom_build_s = 0.0;
-  double rom_max_bound_k = 0.0;
-  double rom_cumulative_bound_k = 0.0;
-
-  [[nodiscard]] double steps_per_s() const { return wall_s > 0.0 ? steps / wall_s : 0.0; }
-  [[nodiscard]] double bus_s() const {
-    return wall_s - thermal_assembly_s - thermal_setup_s - thermal_solve_s;
-  }
-};
-
-/// Repeated missions until the measurement is stable (>= 2 s of wall
-/// time), after a warm-up run.
-Measurement measure_repeated_missions(const co::MissionConfig& config) {
-  (void)co::run_mission(config);  // warm-up: first-touch allocations
-  Measurement m;
-  const auto start = std::chrono::steady_clock::now();
-  while (true) {
-    const co::MissionResult result = co::run_mission(config);
-    ++m.missions;
-    m.steps += result.steps;
-    m.thermal_iterations += result.thermal_iterations;
-    m.thermal_assembly_s += result.thermal_assembly_time_s;
-    m.thermal_setup_s += result.thermal_setup_time_s;
-    m.thermal_solve_s += result.thermal_solve_time_s;
-    m.rom_steps += result.rom_steps;
-    m.rom_fallbacks += result.rom_fallbacks;
-    m.rom_basis_size = std::max(m.rom_basis_size, result.rom_basis_size);
-    m.rom_build_s += result.rom_build_time_s;
-    m.rom_max_bound_k = std::max(m.rom_max_bound_k, result.rom_max_bound_k);
-    m.rom_cumulative_bound_k = std::max(m.rom_cumulative_bound_k, result.rom_cumulative_bound_k);
-    m.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if ((m.wall_s >= 2.0 && m.missions >= 3) || m.missions >= 64) {
-      return m;
-    }
-  }
-}
-
-/// One arm of the rom-vs-full comparison: the TransientEngine stepped
-/// directly on an endurance-shaped workload (the 3 s burst trace repeated,
-/// so the reduced basis build amortizes the way a long mission amortizes
-/// it). Wall time includes engine construction and, for the reduced arm,
-/// every basis build and fallback solve.
+/// One arm of the comparison: the TransientEngine stepped directly on the
+/// burst trace repeated `repeats` times, so the reduced basis build
+/// amortizes the way a long mission amortizes it. Wall time includes engine
+/// construction and, for the reduced arm, every basis build and fallback
+/// solve.
 struct EngineMeasurement {
-  const char* backend = "full";
   int repeats = 0;
   long long steps = 0;
   double wall_s = 0.0;
@@ -114,27 +38,22 @@ struct EngineMeasurement {
 };
 
 EngineMeasurement measure_endurance_engine(th::TransientBackend backend, int repeats) {
-  const co::SystemConfig sys = [] {
-    co::SystemConfig config = co::power7_system_config();
-    config.thermal_grid.axial_cells = 8;
-    return config;
-  }();
+  co::SystemConfig sys = co::power7_system_config();
+  sys.thermal_grid.axial_cells = 8;
   const ch::Floorplan floorplan = ch::make_power7_floorplan(sys.power_spec);
   const th::ThermalModel model(sys.stack, floorplan.die_width(), floorplan.die_height(),
                                sys.thermal_grid);
   const ch::WorkloadTrace trace(ch::burst_trace(1).phases(), repeats);
 
   EngineMeasurement m;
-  m.backend = th::transient_backend_name(backend);
   m.repeats = repeats;
-  const auto start = std::chrono::steady_clock::now();
+  const bh::Clock::time_point start = bh::Clock::now();
   th::TransientEngineOptions options;
   options.schedule.dt_s = 0.07;
   options.backend = backend;
   th::TransientEngine engine(model, sys.thermal_operating_point(), options);
   engine.run(trace, sys.power_spec, [](const th::TransientEngine::StepView&) {});
-  m.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  m.wall_s = bh::seconds_since(start);
   m.steps = engine.steps_taken();
   if (engine.rom() != nullptr) {
     m.rom = engine.rom()->stats();
@@ -142,76 +61,8 @@ EngineMeasurement measure_endurance_engine(th::TransientBackend backend, int rep
   return m;
 }
 
-void write_engine_json(std::FILE* file, const EngineMeasurement& m) {
-  std::fprintf(file,
-               "      \"repeats\": %d,\n"
-               "      \"steps\": %lld,\n"
-               "      \"wall_s\": %.6f,\n"
-               "      \"steps_per_s\": %.4f,\n"
-               "      \"rom_steps\": %lld,\n"
-               "      \"rom_fallbacks\": %lld,\n"
-               "      \"rom_basis_size\": %d,\n"
-               "      \"rom_build_time_s\": %.6f,\n"
-               "      \"rom_max_bound_k\": %.6f,\n"
-               "      \"rom_cumulative_bound_k\": %.6f",
-               m.repeats, m.steps, m.wall_s, m.steps_per_s(), m.rom.rom_steps,
-               m.rom.full_steps, m.rom.basis_size, m.rom.build_time_s,
-               m.rom.max_accepted_bound_k, m.rom.cumulative_bound_k);
-}
-
-void write_json(const char* path, const char* backend, const Measurement& m,
-                const EngineMeasurement& engine_full, const EngineMeasurement& engine_rom) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"mission_throughput\",\n"
-               "  \"transient\": \"%s\",\n"
-               "  \"missions\": %d,\n"
-               "  \"steps\": %lld,\n"
-               "  \"wall_s\": %.6f,\n"
-               "  \"steps_per_s\": %.4f,\n"
-               "  \"mean_step_ms\": %.6f,\n"
-               "  \"mean_bicgstab_iterations_per_step\": %.3f,\n"
-               "  \"thermal_assembly_s_per_step\": %.8f,\n"
-               "  \"thermal_setup_s_per_step\": %.8f,\n"
-               "  \"thermal_solve_s_per_step\": %.8f,\n"
-               "  \"thermal_assembly_fraction\": %.4f,\n"
-               "  \"thermal_solve_fraction\": %.4f,\n"
-               "  \"bus_electrochem_fraction\": %.4f,\n"
-               "  \"rom_steps\": %lld,\n"
-               "  \"rom_fallbacks\": %lld,\n"
-               "  \"rom_basis_size\": %d,\n"
-               "  \"rom_build_time_s\": %.6f,\n"
-               "  \"rom_max_bound_k\": %.6f,\n"
-               "  \"rom_cumulative_bound_k\": %.6f,\n",
-               backend, m.missions, m.steps, m.wall_s, m.steps_per_s(),
-               1e3 * m.wall_s / m.steps,
-               static_cast<double>(m.thermal_iterations) / m.steps,
-               m.thermal_assembly_s / m.steps, m.thermal_setup_s / m.steps,
-               m.thermal_solve_s / m.steps,
-               m.thermal_assembly_s / m.wall_s, m.thermal_solve_s / m.wall_s,
-               m.bus_s() / m.wall_s, m.rom_steps, m.rom_fallbacks, m.rom_basis_size,
-               m.rom_build_s, m.rom_max_bound_k, m.rom_cumulative_bound_k);
-  std::fprintf(file, "  \"endurance_engine\": {\n    \"full\": {\n");
-  write_engine_json(file, engine_full);
-  std::fprintf(file, "\n    },\n    \"rom\": {\n");
-  write_engine_json(file, engine_rom);
-  std::fprintf(file,
-               "\n    },\n"
-               "    \"speedup_rom_over_full\": %.3f\n"
-               "  }\n"
-               "}\n",
-               engine_rom.steps_per_s() / engine_full.steps_per_s());
-  std::fclose(file);
-  std::printf("wrote %s\n", path);
-}
-
-void print_engine_measurement(const EngineMeasurement& m) {
-  std::printf("-- %s --\n", m.backend);
+void print_engine_measurement(th::TransientBackend backend, const EngineMeasurement& m) {
+  std::printf("-- %s --\n", th::transient_backend_name(backend));
   std::printf("%lld steps (burst trace x%d) in %.3f s -> %.1f steps/s (mean %.3f ms/step)\n",
               m.steps, m.repeats, m.wall_s, m.steps_per_s(), 1e3 * m.wall_s / m.steps);
   if (m.rom.rom_steps + m.rom.full_steps > 0) {
@@ -223,76 +74,43 @@ void print_engine_measurement(const EngineMeasurement& m) {
   }
 }
 
-void print_reproduction(const char* json_path, th::TransientBackend backend) {
-  const co::MissionConfig config = bench_mission(backend);
-  const Measurement m = measure_repeated_missions(config);
-
-  std::printf("== mission throughput: repeated core::run_mission() [%s] ==\n",
-              th::transient_backend_name(backend));
-  std::printf("%d missions (%lld steps) in %.3f s -> %.1f steps/s (mean %.2f ms/step)\n",
-              m.missions, m.steps, m.wall_s, m.steps_per_s(), 1e3 * m.wall_s / m.steps);
-  std::printf("thermal: %.1f BiCGSTAB iterations/step\n",
-              static_cast<double>(m.thermal_iterations) / m.steps);
-  std::printf("time split per step: assembly %.2f ms (%.0f%%), krylov %.2f ms (%.0f%%),"
-              " bus/electrochem %.2f ms (%.0f%%)\n",
-              1e3 * m.thermal_assembly_s / m.steps, 100.0 * m.thermal_assembly_s / m.wall_s,
-              1e3 * m.thermal_solve_s / m.steps, 100.0 * m.thermal_solve_s / m.wall_s,
-              1e3 * m.bus_s() / m.steps, 100.0 * m.bus_s() / m.wall_s);
-  if (m.rom_steps + m.rom_fallbacks > 0) {
-    std::printf("reduced: %lld rom steps, %lld fallbacks, basis %d,"
-                " max bound %.4f K, cumulative %.4f K\n",
-                m.rom_steps, m.rom_fallbacks, m.rom_basis_size, m.rom_max_bound_k,
-                m.rom_cumulative_bound_k);
-  }
-
-  // Thermal stepping alone, endurance-shaped: the reduced arm runs the
-  // trace long enough to amortize its basis build, the full arm long
-  // enough for a stable per-step time.
-  std::printf("\n== endurance engine stepping: full vs rom ==\n");
-  const EngineMeasurement engine_full =
-      measure_endurance_engine(th::TransientBackend::kFull, /*repeats=*/2);
-  print_engine_measurement(engine_full);
-  const EngineMeasurement engine_rom =
-      measure_endurance_engine(th::TransientBackend::kRom, /*repeats=*/96);
-  print_engine_measurement(engine_rom);
-  std::printf("steps/s rom/full: %.2fx\n\n",
-              engine_rom.steps_per_s() / engine_full.steps_per_s());
-
-  write_json(json_path, th::transient_backend_name(backend), m, engine_full, engine_rom);
+void add_engine_fields(bh::FlatJson& json, const std::string& prefix,
+                       const EngineMeasurement& m) {
+  json.set(prefix + "repeats", m.repeats);
+  json.set(prefix + "steps", m.steps);
+  json.set(prefix + "wall_s", m.wall_s);
+  json.set(prefix + "steps_per_s", m.steps_per_s());
+  json.set(prefix + "rom_steps", m.rom.rom_steps);
+  json.set(prefix + "rom_fallbacks", m.rom.full_steps);
+  json.set(prefix + "rom_basis_size", m.rom.basis_size);
+  json.set(prefix + "rom_build_time_s", m.rom.build_time_s);
+  json.set(prefix + "rom_max_bound_k", m.rom.max_accepted_bound_k);
+  json.set(prefix + "rom_cumulative_bound_k", m.rom.cumulative_bound_k);
 }
-
-void bm_mission_run(benchmark::State& state) {
-  const co::MissionConfig config = bench_mission(th::TransientBackend::kFull);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(co::run_mission(config));
-  }
-}
-BENCHMARK(bm_mission_run)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_mission.json";
-  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
-    json_path = argv[1];
-    for (int i = 1; i + 1 < argc; ++i) {
-      argv[i] = argv[i + 1];
-    }
-    --argc;
+  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_mission.json");
+  if (!bh::no_arguments_left(argc, argv)) {
+    return 2;
   }
-  th::TransientBackend backend = th::TransientBackend::kFull;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--transient") == 0 && i + 1 < argc) {
-      backend = th::parse_transient_backend(argv[i + 1]);
-      for (int j = i; j + 2 < argc; ++j) {
-        argv[j] = argv[j + 2];
-      }
-      argc -= 2;
-      break;
-    }
-  }
-  print_reproduction(json_path, backend);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+
+  // The reduced arm runs the trace long enough to amortize its basis build,
+  // the full arm long enough for a stable per-step time.
+  std::printf("== endurance engine stepping: full vs rom ==\n");
+  const EngineMeasurement full =
+      measure_endurance_engine(th::TransientBackend::kFull, /*repeats=*/2);
+  print_engine_measurement(th::TransientBackend::kFull, full);
+  const EngineMeasurement rom =
+      measure_endurance_engine(th::TransientBackend::kRom, /*repeats=*/96);
+  print_engine_measurement(th::TransientBackend::kRom, rom);
+  const double speedup = rom.steps_per_s() / full.steps_per_s();
+  std::printf("steps/s rom/full: %.2fx\n\n", speedup);
+
+  bh::FlatJson json("mission_throughput");
+  add_engine_fields(json, "endurance_engine.full.", full);
+  add_engine_fields(json, "endurance_engine.rom.", rom);
+  json.set("endurance_engine.speedup_rom_over_full", speedup);
+  return json.write(json_path) ? 0 : 1;
 }

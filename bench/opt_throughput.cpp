@@ -1,102 +1,30 @@
-// Optimizer throughput: the channel-geometry study driven through the
+// Grid-optimizer throughput: the channel_geometry study driven through the
 // batch-evaluation session — the unit of work of every optimization
 // generation. Measures candidate evaluations per second and the
 // structure-cache hit split (candidates that reused a worker's assembled
-// thermal model vs fresh builds).
+// thermal model vs fresh builds). The NSGA-II optimizer is measured by
+// perfbench's opt_stack_pareto workload (perfbench/README.md).
 //
-// Prints a human-readable summary and writes a machine-readable
-// BENCH_opt.json uploaded by the CI release-bench job next to
-// BENCH_cosim.json and BENCH_mission.json. A non-flag first argument
-// overrides the JSON path.
-#include <chrono>
+// Prints a human-readable summary and writes BENCH_opt.json (schema in
+// docs/BENCHMARKS.md). An optional first argument overrides the JSON path;
+// the rest go to Google Benchmark.
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "harness.h"
 #include "opt/studies.h"
 
+namespace bh = brightsi::bench;
 namespace op = brightsi::opt;
 namespace sw = brightsi::sweep;
 
 namespace {
 
-struct Measurement {
-  long long evaluations = 0;
-  double wall_s = 0.0;
-  int model_builds = 0;
-  int passes = 0;
-  double best_net_w = 0.0;
-  double best_peak_t_c = 0.0;
-
-  [[nodiscard]] double evaluations_per_s() const {
-    return wall_s > 0.0 ? static_cast<double>(evaluations) / wall_s : 0.0;
-  }
-  [[nodiscard]] double cache_hit_fraction() const {
-    return evaluations > 0
-               ? static_cast<double>(evaluations - model_builds) /
-                     static_cast<double>(evaluations)
-               : 0.0;
-  }
-};
-
-Measurement measure_study(int budget) {
-  const op::Study study = op::make_registered_study("channel_geometry");
-  op::OptimizerOptions options;
-  options.budget = budget;
-
-  const auto start = std::chrono::steady_clock::now();
-  const op::OptResult result = op::optimize(study, options);
-  Measurement m;
-  m.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  m.evaluations = result.evaluations();
-  m.model_builds = result.model_builds;
-  m.passes = result.passes;
-  if (const sw::ScenarioResult* best = result.best()) {
-    m.best_net_w = best->metrics[4];     // net_w
-    m.best_peak_t_c = best->metrics[5];  // peak_t_c
-  }
-  return m;
-}
-
-void write_json(const char* path, const Measurement& m) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"opt_throughput\",\n"
-               "  \"study\": \"channel_geometry\",\n"
-               "  \"evaluations\": %lld,\n"
-               "  \"wall_s\": %.6f,\n"
-               "  \"evaluations_per_s\": %.4f,\n"
-               "  \"model_builds\": %d,\n"
-               "  \"cache_hits\": %lld,\n"
-               "  \"cache_hit_fraction\": %.4f,\n"
-               "  \"refinement_passes\": %d,\n"
-               "  \"best_net_w\": %.6f,\n"
-               "  \"best_peak_t_c\": %.6f\n"
-               "}\n",
-               m.evaluations, m.wall_s, m.evaluations_per_s(), m.model_builds,
-               m.evaluations - m.model_builds, m.cache_hit_fraction(), m.passes,
-               m.best_net_w, m.best_peak_t_c);
-  std::fclose(file);
-  std::printf("wrote %s\n", path);
-}
-
-void print_reproduction(const char* json_path) {
-  const Measurement m = measure_study(/*budget=*/48);
-  std::printf("== opt throughput: channel_geometry study, budget 48 ==\n");
-  std::printf("%lld evaluations in %.3f s -> %.2f evaluations/s (%d refinement passes)\n",
-              m.evaluations, m.wall_s, m.evaluations_per_s(), m.passes);
-  std::printf("structure cache: %d builds, %lld hits (%.0f%% hit rate)\n",
-              m.model_builds, m.evaluations - m.model_builds,
-              100.0 * m.cache_hit_fraction());
-  std::printf("best design: net %.3f W at peak %.2f C\n\n", m.best_net_w, m.best_peak_t_c);
-  write_json(json_path, m);
-}
+constexpr int kBudget = 48;
 
 void bm_batch_generation(benchmark::State& state) {
   const op::Study study = op::make_registered_study("channel_geometry");
@@ -123,16 +51,47 @@ BENCHMARK(bm_batch_generation)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_opt.json";
-  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
-    json_path = argv[1];
-    for (int i = 1; i + 1 < argc; ++i) {
-      argv[i] = argv[i + 1];
-    }
-    --argc;
+  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_opt.json");
+  const op::Study study = op::make_registered_study("channel_geometry");
+  op::OptimizerOptions options;
+  options.budget = kBudget;
+
+  const bh::Clock::time_point start = bh::Clock::now();
+  const op::OptResult result = op::optimize(study, options);
+  const double wall_s = bh::seconds_since(start);
+  const long long evaluations = result.evaluations();
+  const long long cache_hits = evaluations - result.model_builds;
+  const double evaluations_per_s = wall_s > 0.0 ? evaluations / wall_s : 0.0;
+  const double cache_hit_fraction =
+      evaluations > 0 ? static_cast<double>(cache_hits) / static_cast<double>(evaluations)
+                      : 0.0;
+  double best_net_w = 0.0;
+  double best_peak_t_c = 0.0;
+  if (const sw::ScenarioResult* best = result.best()) {
+    best_net_w = best->metrics[4];     // net_w
+    best_peak_t_c = best->metrics[5];  // peak_t_c
   }
-  print_reproduction(json_path);
+
+  std::printf("== opt throughput: channel_geometry study, budget %d ==\n", kBudget);
+  std::printf("%lld evaluations in %.3f s -> %.2f evaluations/s (%d refinement passes)\n",
+              evaluations, wall_s, evaluations_per_s, result.passes);
+  std::printf("structure cache: %d builds, %lld hits (%.0f%% hit rate)\n", result.model_builds,
+              cache_hits, 100.0 * cache_hit_fraction);
+  std::printf("best design: net %.3f W at peak %.2f C\n\n", best_net_w, best_peak_t_c);
+
+  bh::FlatJson json("opt_throughput");
+  json.set("evaluations", evaluations);
+  json.set("wall_s", wall_s);
+  json.set("evaluations_per_s", evaluations_per_s);
+  json.set("model_builds", result.model_builds);
+  json.set("cache_hits", cache_hits);
+  json.set("cache_hit_fraction", cache_hit_fraction);
+  json.set("refinement_passes", result.passes);
+  json.set("best_net_w", best_net_w);
+  json.set("best_peak_t_c", best_peak_t_c);
+  const bool wrote = json.write(json_path);
+
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return wrote ? 0 : 1;
 }

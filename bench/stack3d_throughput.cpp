@@ -1,40 +1,30 @@
-// 3D-stack co-simulation throughput: repeated IntegratedMpsocSystem::run()
-// on the two-die interlayer-cooled configuration — the unit of work of
-// every stack_3d sweep scenario and stack_depth optimizer candidate. The
-// stacked operator is roughly twice the single-die system's, so this bench
-// tracks how the solve-context machinery (assemble-once pattern,
-// preconditioner refactor, warm starts) scales with stack depth.
-//
-// A second section runs a paired solver comparison on an 8-die stack with
+// Tall-stack thermal solver comparison: repeated
+// IntegratedMpsocSystem::run() on an 8-die interlayer-cooled stack with
 // roughly 8x the two-die system's z-cell count (the regime multigrid
-// targets): the same system is measured with --solver ilu0 and with
-// --solver mg, and the JSON reports both arms plus iteration and
-// thermal-time ratios.
+// targets), measured once with the ilu0 and once with the mg
+// preconditioner on identical work, so the reported iteration and
+// thermal-time ratios are paired. Stacks of one to three dies on the
+// default solver are measured by perfbench's opt_stack_pareto workload
+// (perfbench/README.md).
 //
-// Prints a human-readable summary and writes a machine-readable
-// BENCH_stack3d.json (runs/s, per-die split, BiCGSTAB iterations, assembly
-// vs setup vs solve time — schema in docs/BENCHMARKS.md) that the CI
-// Release job uploads as an artifact. A non-flag first argument overrides
-// the JSON path; --solver ilu0|mg selects the main section's
-// preconditioner.
-#include <chrono>
+// Prints a human-readable summary and writes BENCH_stack3d.json (schema in
+// docs/BENCHMARKS.md). An optional first argument overrides the JSON path.
 #include <cstdio>
-#include <cstring>
 #include <string>
-
-#include <benchmark/benchmark.h>
 
 #include "chip/power7.h"
 #include "core/cosim.h"
+#include "harness.h"
 
+namespace bh = brightsi::bench;
 namespace co = brightsi::core;
 namespace th = brightsi::thermal;
 
 namespace {
 
+/// Work counters summed over the measured runs of one solver arm.
 struct Measurement {
-  int runs = 0;
-  double wall_s = 0.0;
+  bh::Repeats repeats;
   long long thermal_solves = 0;
   long long thermal_iterations = 0;
   double thermal_assembly_s = 0.0;
@@ -42,42 +32,14 @@ struct Measurement {
   double thermal_solve_s = 0.0;
   int dies = 0;
   int channel_layers = 0;
-  double bottom_flow_fraction = 0.0;
 
-  [[nodiscard]] double runs_per_s() const { return wall_s > 0.0 ? runs / wall_s : 0.0; }
+  [[nodiscard]] double per_run(double total) const { return total / repeats.runs; }
   /// Preconditioner setup + Krylov iteration time per run — the solver
   /// cost the ilu0-vs-mg comparison is about.
   [[nodiscard]] double thermal_time_per_run_s() const {
-    return (thermal_setup_s + thermal_solve_s) / runs;
-  }
-  [[nodiscard]] double iterations_per_run() const {
-    return static_cast<double>(thermal_iterations) / runs;
+    return per_run(thermal_setup_s + thermal_solve_s);
   }
 };
-
-Measurement measure_repeated_runs(const co::IntegratedMpsocSystem& system) {
-  (void)system.run();  // warm-up: first-touch allocations, cache warming
-  Measurement m;
-  const auto start = std::chrono::steady_clock::now();
-  while (true) {
-    const co::CoSimReport report = system.run();
-    ++m.runs;
-    m.thermal_solves += report.thermal_solves;
-    m.thermal_iterations += report.thermal_iterations;
-    m.thermal_assembly_s += report.thermal_assembly_time_s;
-    m.thermal_setup_s += report.thermal_setup_time_s;
-    m.thermal_solve_s += report.thermal_solve_time_s;
-    m.dies = report.die_count;
-    m.channel_layers = static_cast<int>(report.layer_flows.size());
-    m.bottom_flow_fraction =
-        report.layer_flows.empty() ? 0.0 : report.layer_flows.front().fraction;
-    m.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if ((m.wall_s >= 2.0 && m.runs >= 5) || m.runs >= 64) {
-      return m;
-    }
-  }
-}
 
 /// The multigrid target regime: an 8-die interlayer-cooled stack whose
 /// operator has ~8x the z-cells of the default two-die system. Here
@@ -96,139 +58,74 @@ co::SystemConfig tall_stack_config(th::SolverKind kind) {
 
 Measurement measure_tall_stack(th::SolverKind kind) {
   const co::IntegratedMpsocSystem system(tall_stack_config(kind));
-  return measure_repeated_runs(system);
+  Measurement m;
+  m.repeats = bh::repeat_until_stable([&] { return system.run(); },
+                                      [&](const co::CoSimReport& report) {
+                                        m.thermal_solves += report.thermal_solves;
+                                        m.thermal_iterations += report.thermal_iterations;
+                                        m.thermal_assembly_s += report.thermal_assembly_time_s;
+                                        m.thermal_setup_s += report.thermal_setup_time_s;
+                                        m.thermal_solve_s += report.thermal_solve_time_s;
+                                        m.dies = report.die_count;
+                                        m.channel_layers =
+                                            static_cast<int>(report.layer_flows.size());
+                                      });
+  return m;
 }
 
-void print_measurement(const Measurement& m) {
-  std::printf("%d runs in %.3f s -> %.3f runs/s (mean %.3f s/run)\n", m.runs, m.wall_s,
-              m.runs_per_s(), m.wall_s / m.runs);
+void print_measurement(th::SolverKind kind, const Measurement& m) {
+  const bh::Repeats& r = m.repeats;
+  std::printf("-- %s --\n", th::solver_kind_name(kind));
+  std::printf("%d runs in %.3f s -> %.3f runs/s (mean %.3f s/run)\n", r.runs, r.wall_s,
+              r.runs_per_s(), m.per_run(r.wall_s));
   std::printf("thermal: %.1f solves/run, %.1f BiCGSTAB iterations/run\n",
-              static_cast<double>(m.thermal_solves) / m.runs, m.iterations_per_run());
+              m.per_run(m.thermal_solves), m.per_run(m.thermal_iterations));
   std::printf("time split per run: assembly %.1f ms, setup %.1f ms, krylov %.1f ms,"
               " other %.1f ms\n",
-              1e3 * m.thermal_assembly_s / m.runs, 1e3 * m.thermal_setup_s / m.runs,
-              1e3 * m.thermal_solve_s / m.runs,
-              1e3 * (m.wall_s - m.thermal_assembly_s - m.thermal_setup_s - m.thermal_solve_s) /
-                  m.runs);
+              1e3 * m.per_run(m.thermal_assembly_s), 1e3 * m.per_run(m.thermal_setup_s),
+              1e3 * m.per_run(m.thermal_solve_s),
+              1e3 * m.per_run(r.wall_s - m.thermal_assembly_s - m.thermal_setup_s -
+                              m.thermal_solve_s));
 }
 
-void write_measurement_json(std::FILE* file, const char* indent, const Measurement& m) {
-  std::fprintf(file,
-               "%s\"runs\": %d,\n"
-               "%s\"wall_s\": %.6f,\n"
-               "%s\"runs_per_s\": %.4f,\n"
-               "%s\"mean_run_s\": %.6f,\n"
-               "%s\"mean_thermal_solves_per_run\": %.3f,\n"
-               "%s\"mean_bicgstab_iterations_per_run\": %.3f,\n"
-               "%s\"thermal_assembly_s_per_run\": %.6f,\n"
-               "%s\"thermal_setup_s_per_run\": %.6f,\n"
-               "%s\"thermal_solve_s_per_run\": %.6f",
-               indent, m.runs, indent, m.wall_s, indent, m.runs_per_s(), indent,
-               m.wall_s / m.runs, indent, static_cast<double>(m.thermal_solves) / m.runs,
-               indent, m.iterations_per_run(), indent, m.thermal_assembly_s / m.runs, indent,
-               m.thermal_setup_s / m.runs, indent, m.thermal_solve_s / m.runs);
+void add_measurement_fields(bh::FlatJson& json, const std::string& prefix,
+                            const Measurement& m) {
+  json.set(prefix + "runs", m.repeats.runs);
+  json.set(prefix + "wall_s", m.repeats.wall_s);
+  json.set(prefix + "runs_per_s", m.repeats.runs_per_s());
+  json.set(prefix + "mean_run_s", m.per_run(m.repeats.wall_s));
+  json.set(prefix + "mean_thermal_solves_per_run", m.per_run(m.thermal_solves));
+  json.set(prefix + "mean_bicgstab_iterations_per_run", m.per_run(m.thermal_iterations));
+  json.set(prefix + "thermal_assembly_s_per_run", m.per_run(m.thermal_assembly_s));
+  json.set(prefix + "thermal_setup_s_per_run", m.per_run(m.thermal_setup_s));
+  json.set(prefix + "thermal_solve_s_per_run", m.per_run(m.thermal_solve_s));
 }
-
-void write_json(const char* path, const char* solver, const Measurement& m,
-                const Measurement& tall_ilu0, const Measurement& tall_mg) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file,
-               "{\n"
-               "  \"bench\": \"stack3d_throughput\",\n"
-               "  \"solver\": \"%s\",\n"
-               "  \"dies\": %d,\n"
-               "  \"channel_layers\": %d,\n"
-               "  \"bottom_flow_fraction\": %.6f,\n",
-               solver, m.dies, m.channel_layers, m.bottom_flow_fraction);
-  write_measurement_json(file, "  ", m);
-  std::fprintf(file,
-               ",\n"
-               "  \"tall_stack\": {\n"
-               "    \"dies\": %d,\n"
-               "    \"channel_layers\": %d,\n"
-               "    \"ilu0\": {\n",
-               tall_ilu0.dies, tall_ilu0.channel_layers);
-  write_measurement_json(file, "      ", tall_ilu0);
-  std::fprintf(file, "\n    },\n    \"mg\": {\n");
-  write_measurement_json(file, "      ", tall_mg);
-  std::fprintf(file,
-               "\n    },\n"
-               "    \"iteration_ratio_ilu0_over_mg\": %.3f,\n"
-               "    \"thermal_time_speedup_ilu0_over_mg\": %.3f\n"
-               "  }\n"
-               "}\n",
-               tall_ilu0.iterations_per_run() / tall_mg.iterations_per_run(),
-               tall_ilu0.thermal_time_per_run_s() / tall_mg.thermal_time_per_run_s());
-  std::fclose(file);
-  std::printf("wrote %s\n", path);
-}
-
-void print_reproduction(const char* json_path, th::SolverKind kind) {
-  co::SystemConfig config = co::two_die_system_config();
-  config.thermal_grid.axial_cells = 16;  // the sweep plans' stacked resolution
-  config.thermal_grid.solver_config.kind = kind;
-  const co::IntegratedMpsocSystem system(config);
-  const Measurement m = measure_repeated_runs(system);
-
-  std::printf("== stack3d throughput: repeated two-die IntegratedMpsocSystem::run()"
-              " [%s] ==\n",
-              th::solver_kind_name(kind));
-  std::printf("%d dies, %d cooling layers, bottom-layer flow fraction %.3f\n", m.dies,
-              m.channel_layers, m.bottom_flow_fraction);
-  print_measurement(m);
-
-  std::printf("\n== tall stack (8 dies, 16-cell bulk): ilu0 vs mg ==\n");
-  const Measurement tall_ilu0 = measure_tall_stack(th::SolverKind::kIlu0);
-  std::printf("-- ilu0 --\n");
-  print_measurement(tall_ilu0);
-  const Measurement tall_mg = measure_tall_stack(th::SolverKind::kMultigrid);
-  std::printf("-- mg --\n");
-  print_measurement(tall_mg);
-  std::printf("iterations ilu0/mg: %.2fx, thermal time ilu0/mg: %.2fx\n\n",
-              tall_ilu0.iterations_per_run() / tall_mg.iterations_per_run(),
-              tall_ilu0.thermal_time_per_run_s() / tall_mg.thermal_time_per_run_s());
-
-  write_json(json_path, th::solver_kind_name(kind), m, tall_ilu0, tall_mg);
-}
-
-void bm_stack3d_run(benchmark::State& state) {
-  co::SystemConfig config = co::two_die_system_config();
-  config.thermal_grid.axial_cells = 16;
-  const co::IntegratedMpsocSystem system(config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run());
-  }
-}
-BENCHMARK(bm_stack3d_run)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_stack3d.json";
-  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
-    json_path = argv[1];
-    for (int i = 1; i + 1 < argc; ++i) {
-      argv[i] = argv[i + 1];
-    }
-    --argc;
+  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_stack3d.json");
+  if (!bh::no_arguments_left(argc, argv)) {
+    return 2;
   }
-  th::SolverKind kind = th::SolverKind::kIlu0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      kind = th::parse_solver_kind(argv[i + 1]);
-      for (int j = i; j + 2 < argc; ++j) {
-        argv[j] = argv[j + 2];
-      }
-      argc -= 2;
-      break;
-    }
-  }
-  print_reproduction(json_path, kind);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+
+  std::printf("== tall stack (8 dies, 16-cell bulk): ilu0 vs mg ==\n");
+  const Measurement ilu0 = measure_tall_stack(th::SolverKind::kIlu0);
+  print_measurement(th::SolverKind::kIlu0, ilu0);
+  const Measurement mg = measure_tall_stack(th::SolverKind::kMultigrid);
+  print_measurement(th::SolverKind::kMultigrid, mg);
+  const double iteration_ratio =
+      ilu0.per_run(ilu0.thermal_iterations) / mg.per_run(mg.thermal_iterations);
+  const double thermal_time_speedup = ilu0.thermal_time_per_run_s() / mg.thermal_time_per_run_s();
+  std::printf("iterations ilu0/mg: %.2fx, thermal time ilu0/mg: %.2fx\n\n", iteration_ratio,
+              thermal_time_speedup);
+
+  bh::FlatJson json("stack3d_throughput");
+  json.set("tall_stack.dies", ilu0.dies);
+  json.set("tall_stack.channel_layers", ilu0.channel_layers);
+  add_measurement_fields(json, "tall_stack.ilu0.", ilu0);
+  add_measurement_fields(json, "tall_stack.mg.", mg);
+  json.set("tall_stack.iteration_ratio_ilu0_over_mg", iteration_ratio);
+  json.set("tall_stack.thermal_time_speedup_ilu0_over_mg", thermal_time_speedup);
+  return json.write(json_path) ? 0 : 1;
 }

@@ -78,7 +78,7 @@ struct MissionResult {
   /// mission (pass as initial_thermal_state, set initial_soc = final_soc).
   numerics::Grid3<double> final_state;
 
-  /// Work counters for perf reporting (bench/mission_throughput).
+  /// Work counters for perf reporting (perfbench's mission_store workload).
   long long steps = 0;
   long long thermal_iterations = 0;      ///< BiCGSTAB iterations, summed
   double thermal_assembly_time_s = 0.0;  ///< coefficient fill + CSR refill
@@ -86,7 +86,7 @@ struct MissionResult {
   double thermal_solve_time_s = 0.0;     ///< time iterating inside the Krylov solver
 
   // Reduced-order backend counters (all zero on the full backend) — the
-  // certificate trail surfaced into BENCH_mission.json and sweep rows.
+  // certificate trail of the mission.
   long long rom_steps = 0;            ///< steps served by the reduced solve
   long long rom_fallbacks = 0;        ///< full-solve fallbacks (basis enrichments)
   int rom_basis_size = 0;             ///< largest basis across step lengths

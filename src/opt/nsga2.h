@@ -67,7 +67,7 @@ struct Nsga2Options {
 /// value) — relative to the reference (ref_maximize, ref_minimize): the
 /// area dominated between each point and the reference corner. Points not
 /// strictly better than the reference in both coordinates contribute
-/// nothing. The comparison metric of BENCH_moo.json.
+/// nothing. The front-quality metric of nsga2_test and perfbench.
 [[nodiscard]] double hypervolume_2d(std::vector<std::pair<double, double>> front,
                                     double ref_maximize, double ref_minimize);
 

@@ -29,7 +29,7 @@ namespace brightsi::thermal {
 class ThermalSolveContext {
  public:
   /// Cumulative work counters across the context's lifetime (reset() does
-  /// not clear them), for perf reporting — bench/cosim_throughput.
+  /// not clear them), for perf reporting — perfbench's thermal.* metrics.
   struct Stats {
     int solves = 0;
     long long iterations = 0;      ///< BiCGSTAB iterations, summed

@@ -1,6 +1,7 @@
 // Tests of the chip module: geometry, floorplan invariants, power-map
 // rasterization conservation properties and the POWER7+ reconstruction.
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -133,7 +134,11 @@ TEST_P(RasterConservation, TotalPowerIsConservedAtAnyResolution) {
       if (overlaps) {
         continue;
       }
-      fp.add_block({"b" + std::to_string(added), ch::BlockType::kLogic, r, density(rng())});
+      // Appended rather than `"b" + std::to_string(added)`, which trips a
+      // GCC 12 -Wrestrict false positive inside libstdc++.
+      std::string name = "b";
+      name += std::to_string(added);
+      fp.add_block({name, ch::BlockType::kLogic, r, density(rng())});
       ++added;
     }
     fp.set_background_power_density(500.0);

@@ -129,20 +129,30 @@ TEST(RackSteady, SingleChipMatchesTheDirectThermalSolve) {
 }
 
 TEST(RackSteady, SerialInletsRiseMonotonically) {
-  const fl::RackSpec rack = fl::make_demo_rack(fast_base(), 4, 1, 4);
-  const fl::RackSolveResult result = fl::solve_rack_steady(rack);
-  ASSERT_EQ(result.loops.size(), 1u);
-  const std::vector<double>& inlets = result.loops[0].segment_inlet_k;
-  ASSERT_EQ(inlets.size(), 4u);
-  for (std::size_t s = 1; s < inlets.size(); ++s) {
-    EXPECT_GT(inlets[s], inlets[s - 1]) << "segment " << s;
-  }
-  EXPECT_TRUE(result.inlet_monotonic);
-  EXPECT_GT(result.max_inlet_rise_k, 0.0);
-  // Chips report the plenum inlet of their segment.
-  for (const fl::RackChipResult& c : result.chips) {
-    EXPECT_EQ(c.inlet_temperature_k, inlets[static_cast<std::size_t>(c.segment)]);
-    EXPECT_GT(c.outlet_temperature_k, c.inlet_temperature_k);
+  // One loop of 4 serial segments, and the bench rack: 8 mixed one- and
+  // two-die chips on 2 loops x 2 segments with temperature-dependent coolant.
+  fl::RackSpec bench_rack = fl::make_demo_rack(fast_base(), 8, 2, 2, /*heterogeneous=*/true);
+  bench_rack.coolant_laws.temperature_dependent = true;
+  bench_rack.coolant_laws.reference_temperature_k = bench_rack.loop_inlet_temperature_k;
+  for (const fl::RackSpec& rack : {fl::make_demo_rack(fast_base(), 4, 1, 4), bench_rack}) {
+    const fl::RackSolveResult result = fl::solve_rack_steady(rack);
+    ASSERT_EQ(result.loops.size(), static_cast<std::size_t>(rack.loop_count()));
+    for (std::size_t l = 0; l < result.loops.size(); ++l) {
+      const std::vector<double>& inlets = result.loops[l].segment_inlet_k;
+      ASSERT_EQ(inlets.size(), static_cast<std::size_t>(rack.segment_count(static_cast<int>(l))));
+      for (std::size_t s = 1; s < inlets.size(); ++s) {
+        EXPECT_GT(inlets[s], inlets[s - 1]) << "loop " << l << " segment " << s;
+      }
+    }
+    EXPECT_TRUE(result.inlet_monotonic);
+    EXPECT_GT(result.max_inlet_rise_k, 0.0);
+    // Chips report the plenum inlet of their segment.
+    for (const fl::RackChipResult& c : result.chips) {
+      EXPECT_EQ(c.inlet_temperature_k,
+                result.loops[static_cast<std::size_t>(c.loop)]
+                    .segment_inlet_k[static_cast<std::size_t>(c.segment)]);
+      EXPECT_GT(c.outlet_temperature_k, c.inlet_temperature_k);
+    }
   }
 }
 

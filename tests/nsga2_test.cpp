@@ -137,10 +137,12 @@ TEST(Surrogate, InterpolatesAndGuardsDegenerateInputs) {
 // ------------------------------------------------------------- optimizer
 
 TEST(Nsga2, RejectsInvalidOptionsAndStudies) {
-  EXPECT_THROW((void)op::optimize_nsga2(rail_study(), {.budget = 0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)op::optimize_nsga2(rail_study(), {.budget = 8, .population = 3}),
-               std::invalid_argument);
+  op::Nsga2Options options;
+  options.budget = 0;
+  EXPECT_THROW((void)op::optimize_nsga2(rail_study(), options), std::invalid_argument);
+  options.budget = 8;
+  options.population = 3;
+  EXPECT_THROW((void)op::optimize_nsga2(rail_study(), options), std::invalid_argument);
   op::Study no_pair = rail_study();
   no_pair.objective.pareto_maximize.clear();
   no_pair.objective.pareto_minimize.clear();
@@ -238,32 +240,56 @@ TEST(Nsga2, SurrogateScreenAgreesWithExhaustiveSearchOnTinySpace) {
 }
 
 TEST(Nsga2, FrontDominatesOrMatchesTheGridOptimizerAtEqualBudget) {
-  // The acceptance bar on the cheap study: at an equal real-evaluation
-  // budget the evolutionary front's hypervolume must be at least the grid
-  // optimizer's (its archive also carries a front; nsga2 is built to
-  // spread across it rather than converge to one incumbent).
-  const op::Study study = rail_study();
-  const int budget = 32;
-  op::Nsga2Options evo;
-  evo.budget = budget;
-  evo.population = 8;
-  evo.thread_count = 2;
-  const op::OptResult moo = op::optimize_nsga2(study, evo);
-  const op::OptResult grid = op::optimize(study, {.budget = budget, .thread_count = 2});
-
-  const auto front_points = [](const op::OptResult& result) {
-    std::vector<std::pair<double, double>> points;
-    for (const int index : result.pareto_indices) {
-      const auto& metrics = result.archive.rows[static_cast<std::size_t>(index)].metrics;
-      points.emplace_back(metrics[1], metrics[0]);  // (rail_min_v, tap_count)
-    }
-    return points;
+  // The acceptance bar: at an equal real-evaluation budget the
+  // evolutionary front's hypervolume must be at least the grid optimizer's
+  // (its archive also carries a front; nsga2 is built to spread across it
+  // rather than converge to one incumbent).
+  struct Case {
+    op::Study study;
+    int budget;
+    int population;
+    double ref_maximize;  ///< hypervolume reference corner
+    double ref_minimize;
   };
-  // Reference corner: worst rail voltage 0, tap count above the 8x8 max.
-  const double hv_moo = op::hypervolume_2d(front_points(moo), 0.0, 65.0);
-  const double hv_grid = op::hypervolume_2d(front_points(grid), 0.0, 65.0);
-  EXPECT_GE(hv_moo, hv_grid);
-  EXPECT_GT(hv_moo, 0.0);
+  const Case cases[] = {
+      // The cheap study: worst rail voltage 0, tap count above the 8x8 max.
+      {rail_study(), 32, 8, 0.0, 65.0},
+      // The 6-axis 3D-stack study: net power -10 W, peak temperature 86.85 C.
+      {op::make_registered_study("stack_pareto"), 24, 6, -10.0, 86.85},
+  };
+  for (const Case& c : cases) {
+    op::Nsga2Options evo;
+    evo.budget = c.budget;
+    evo.population = c.population;
+    evo.thread_count = 2;
+    const op::OptResult moo = op::optimize_nsga2(c.study, evo);
+    op::OptimizerOptions grid_options;
+    grid_options.budget = c.budget;
+    grid_options.thread_count = 2;
+    const op::OptResult grid = op::optimize(c.study, grid_options);
+
+    // The feasible front as (maximized, minimized) points of the study's pair.
+    const auto front_points = [&](const op::OptResult& result) {
+      const std::vector<std::string>& names = result.archive.metric_names;
+      const auto index = [&](const std::string& name) {
+        return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) -
+                                        names.begin());
+      };
+      const std::size_t maximized = index(c.study.objective.pareto_maximize);
+      const std::size_t minimized = index(c.study.objective.pareto_minimize);
+      std::vector<std::pair<double, double>> points;
+      for (const int row : result.pareto_indices) {
+        const auto& metrics = result.archive.rows[static_cast<std::size_t>(row)].metrics;
+        points.emplace_back(metrics.at(maximized), metrics.at(minimized));
+      }
+      return points;
+    };
+    const double hv_moo = op::hypervolume_2d(front_points(moo), c.ref_maximize, c.ref_minimize);
+    const double hv_grid =
+        op::hypervolume_2d(front_points(grid), c.ref_maximize, c.ref_minimize);
+    EXPECT_GE(hv_moo, hv_grid) << c.study.name;
+    EXPECT_GT(hv_moo, 0.0) << c.study.name;
+  }
 }
 
 }  // namespace

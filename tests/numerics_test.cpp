@@ -14,7 +14,6 @@
 #include "numerics/multigrid.h"
 #include "numerics/root_finding.h"
 #include "numerics/sparse_matrix.h"
-#include "numerics/statistics.h"
 #include "numerics/tridiagonal.h"
 
 namespace nm = brightsi::numerics;
@@ -709,38 +708,6 @@ TEST(Grid, FillResetsAllValues) {
 TEST(Grid, RejectsNonPositiveDimensions) {
   EXPECT_THROW((nm::Grid2<double>(0, 3)), std::invalid_argument);
   EXPECT_THROW((nm::Grid3<double>(2, -1, 3)), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- statistics
-TEST(Statistics, SummaryOfKnownSamples) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  const auto s = nm::summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Statistics, PercentileInterpolates) {
-  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0, 50.0};
-  EXPECT_DOUBLE_EQ(nm::percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(nm::percentile(v, 50.0), 30.0);
-  EXPECT_DOUBLE_EQ(nm::percentile(v, 100.0), 50.0);
-  EXPECT_DOUBLE_EQ(nm::percentile(v, 25.0), 20.0);
-}
-
-TEST(Statistics, MaxErrors) {
-  const std::vector<double> a = {1.0, 2.0, 3.0};
-  const std::vector<double> b = {1.1, 2.0, 2.7};
-  EXPECT_NEAR(nm::max_abs_difference(a, b), 0.3, 1e-12);
-  EXPECT_NEAR(nm::max_relative_error(a, b), 0.3 / 2.7, 1e-12);
-}
-
-TEST(Statistics, EmptyInputThrows) {
-  const std::vector<double> empty;
-  EXPECT_THROW(nm::summarize(empty), std::invalid_argument);
-  EXPECT_THROW(nm::percentile(empty, 50.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -182,8 +182,9 @@ TEST(Study, InvalidStudiesAreRejected) {
   study.objective = op::maximize_metric("no_such_metric");
   EXPECT_THROW(study.validate(), std::invalid_argument);
 
-  EXPECT_THROW((void)op::optimize(small_rail_study(), {.budget = 0}),
-               std::invalid_argument);
+  op::OptimizerOptions no_budget;
+  no_budget.budget = 0;
+  EXPECT_THROW((void)op::optimize(small_rail_study(), no_budget), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- pareto

@@ -314,8 +314,8 @@ TEST(RomMission, SurfacesTheCertificateAndTracksTheFullBackend) {
   config.transient_backend = th::TransientBackend::kRom;
   const co::MissionResult rom = co::run_mission(config);
 
-  // The counters land in the result (and from there in sweep rows and
-  // BENCH_mission.json); the full backend reports all-zero rom fields.
+  // The counters land in the result; the full backend reports all-zero
+  // rom fields.
   EXPECT_EQ(full.rom_steps, 0);
   EXPECT_EQ(full.rom_fallbacks, 0);
   EXPECT_GT(rom.rom_steps, 0);

@@ -69,12 +69,12 @@ TEST(CliArgs, NextIntArgParsesAndEnforcesMinimum) {
 }
 
 TEST(CliArgs, NextIntArgRejectsGarbageAndTrailingText) {
-  for (const std::string& bad : {"zero", "4x", "", "7.5"}) {
+  for (const char* bad : {"zero", "4x", "", "7.5"}) {
     Argv args({"prog", "--threads", bad});
     int i = 1;
     const std::string message = invalid_argument_message(
         [&] { (void)to::next_int_arg(args.argc(), args.argv(), i, "--threads", 0); });
-    EXPECT_EQ(message, "not an integer after --threads: '" + bad + "'") << bad;
+    EXPECT_EQ(message, std::string("not an integer after --threads: '") + bad + "'") << bad;
   }
 }
 
