@@ -1,6 +1,6 @@
-// Grid-optimizer throughput: the channel_geometry study driven through the
-// batch-evaluation session — the unit of work of every optimization
-// generation. Measures candidate evaluations per second and the
+// Grid-optimizer throughput: the channel_geometry study driven through a
+// persistent local execution backend — the unit of work of every
+// optimization generation. Measures candidate evaluations per second and the
 // structure-cache hit split (candidates that reused a worker's assembled
 // thermal model vs fresh builds). The NSGA-II optimizer is measured by
 // perfbench's opt_stack_pareto workload (perfbench/README.md).
@@ -17,6 +17,7 @@
 
 #include "harness.h"
 #include "opt/studies.h"
+#include "sweep/execution.h"
 
 namespace bh = brightsi::bench;
 namespace op = brightsi::opt;
@@ -28,8 +29,7 @@ constexpr int kBudget = 48;
 
 void bm_batch_generation(benchmark::State& state) {
   const op::Study study = op::make_registered_study("channel_geometry");
-  sw::BatchEvaluationSession session(study.base, study.evaluator,
-                                     {static_cast<int>(state.range(0)), true});
+  const auto backend = sw::make_local_backend({static_cast<int>(state.range(0)), true});
   // One axis generation: 8 flow candidates around the center point.
   std::vector<sw::ScenarioSpec> candidates;
   for (int i = 0; i < 8; ++i) {
@@ -41,8 +41,10 @@ void bm_batch_generation(benchmark::State& state) {
     spec.set("inlet_c", 40.0);
     candidates.push_back(std::move(spec));
   }
+  std::vector<sw::ScenarioResult> rows;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(session.evaluate(candidates));
+    backend->execute(study.base, study.evaluator, candidates, rows);
+    benchmark::DoNotOptimize(rows.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(candidates.size()));
 }
@@ -60,7 +62,8 @@ int main(int argc, char** argv) {
   const op::OptResult result = op::optimize(study, options);
   const double wall_s = bh::seconds_since(start);
   const long long evaluations = result.evaluations();
-  const long long cache_hits = evaluations - result.model_builds;
+  const int model_builds = result.archive.exec.model_builds;
+  const long long cache_hits = evaluations - model_builds;
   const double evaluations_per_s = wall_s > 0.0 ? evaluations / wall_s : 0.0;
   const double cache_hit_fraction =
       evaluations > 0 ? static_cast<double>(cache_hits) / static_cast<double>(evaluations)
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("== opt throughput: channel_geometry study, budget %d ==\n", kBudget);
   std::printf("%lld evaluations in %.3f s -> %.2f evaluations/s (%d refinement passes)\n",
               evaluations, wall_s, evaluations_per_s, result.passes);
-  std::printf("structure cache: %d builds, %lld hits (%.0f%% hit rate)\n", result.model_builds,
+  std::printf("structure cache: %d builds, %lld hits (%.0f%% hit rate)\n", model_builds,
               cache_hits, 100.0 * cache_hit_fraction);
   std::printf("best design: net %.3f W at peak %.2f C\n\n", best_net_w, best_peak_t_c);
 
@@ -83,7 +86,7 @@ int main(int argc, char** argv) {
   json.set("evaluations", evaluations);
   json.set("wall_s", wall_s);
   json.set("evaluations_per_s", evaluations_per_s);
-  json.set("model_builds", result.model_builds);
+  json.set("model_builds", model_builds);
   json.set("cache_hits", cache_hits);
   json.set("cache_hit_fraction", cache_hit_fraction);
   json.set("refinement_passes", result.passes);

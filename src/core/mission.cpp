@@ -162,17 +162,7 @@ MissionResult run_mission(const MissionConfig& config,
       process_step(step);
     }
     result.final_state = replay->final_state;
-    result.steps = replay->engine_steps;
-    result.thermal_iterations = replay->thermal_iterations;
-    result.thermal_assembly_time_s = replay->thermal_assembly_time_s;
-    result.thermal_setup_time_s = replay->thermal_setup_time_s;
-    result.thermal_solve_time_s = replay->thermal_solve_time_s;
-    result.rom_steps = replay->rom_steps;
-    result.rom_fallbacks = replay->rom_fallbacks;
-    result.rom_basis_size = replay->rom_basis_size;
-    result.rom_build_time_s = replay->rom_build_time_s;
-    result.rom_max_bound_k = replay->rom_max_bound_k;
-    result.rom_cumulative_bound_k = replay->rom_cumulative_bound_k;
+    static_cast<MissionWork&>(result) = replay->work;
     return result;
   }
 
@@ -256,17 +246,7 @@ MissionResult run_mission(const MissionConfig& config,
   if (record != nullptr) {
     record->final_state = result.final_state;
     record->electro_flow_m3_per_s = electro_flow_override;
-    record->engine_steps = result.steps;
-    record->thermal_iterations = result.thermal_iterations;
-    record->thermal_assembly_time_s = result.thermal_assembly_time_s;
-    record->thermal_setup_time_s = result.thermal_setup_time_s;
-    record->thermal_solve_time_s = result.thermal_solve_time_s;
-    record->rom_steps = result.rom_steps;
-    record->rom_fallbacks = result.rom_fallbacks;
-    record->rom_basis_size = result.rom_basis_size;
-    record->rom_build_time_s = result.rom_build_time_s;
-    record->rom_max_bound_k = result.rom_max_bound_k;
-    record->rom_cumulative_bound_k = result.rom_cumulative_bound_k;
+    record->work = result;
   }
   return result;
 }

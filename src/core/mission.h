@@ -66,19 +66,8 @@ struct MissionSample {
   bool supply_ok = false;  ///< rail demand met within the VRM window
 };
 
-/// Whole-mission outcome.
-struct MissionResult {
-  std::vector<MissionSample> samples;
-  double final_soc = 0.0;
-  double max_peak_temperature_c = 0.0;  ///< over every step, sampled or not
-  bool supply_always_ok = true;
-  double energy_delivered_j = 0.0;  ///< bus-side integral of V*I dt
-
-  /// Checkpoint: the final thermal field. With final_soc, seeds a resumed
-  /// mission (pass as initial_thermal_state, set initial_soc = final_soc).
-  numerics::Grid3<double> final_state;
-
-  /// Work counters for perf reporting (perfbench's mission_store workload).
+/// Work counters for perf reporting (perfbench's mission_store workload).
+struct MissionWork {
   long long steps = 0;
   long long thermal_iterations = 0;      ///< BiCGSTAB iterations, summed
   double thermal_assembly_time_s = 0.0;  ///< coefficient fill + CSR refill
@@ -93,6 +82,19 @@ struct MissionResult {
   double rom_build_time_s = 0.0;      ///< operator assembly + basis enrichment
   double rom_max_bound_k = 0.0;       ///< worst accepted certified error bound
   double rom_cumulative_bound_k = 0.0;  ///< trajectory-accumulated bound
+};
+
+/// Whole-mission outcome, with its work counters.
+struct MissionResult : MissionWork {
+  std::vector<MissionSample> samples;
+  double final_soc = 0.0;
+  double max_peak_temperature_c = 0.0;  ///< over every step, sampled or not
+  bool supply_always_ok = true;
+  double energy_delivered_j = 0.0;  ///< bus-side integral of V*I dt
+
+  /// Checkpoint: the final thermal field. With final_soc, seeds a resumed
+  /// mission (pass as initial_thermal_state, set initial_soc = final_soc).
+  numerics::Grid3<double> final_state;
 };
 
 /// One step of a recorded mission thermal trajectory: everything the
@@ -119,20 +121,9 @@ struct MissionThermalTrajectory {
   /// Bottom channel layer's flow share for the electrochemistry when
   /// interlayer cooling splits the pump total; 0 = use the configured spec.
   double electro_flow_m3_per_s = 0.0;
-  long long engine_steps = 0;
-
-  // Work counters of the recorded run, copied into replayed results so
-  // perf reports stay meaningful (timings are the recording run's).
-  long long thermal_iterations = 0;
-  double thermal_assembly_time_s = 0.0;
-  double thermal_setup_time_s = 0.0;
-  double thermal_solve_time_s = 0.0;
-  long long rom_steps = 0;
-  long long rom_fallbacks = 0;
-  int rom_basis_size = 0;
-  double rom_build_time_s = 0.0;
-  double rom_max_bound_k = 0.0;
-  double rom_cumulative_bound_k = 0.0;
+  /// Work counters of the recorded run, reported by every replay so perf
+  /// reports stay meaningful (timings are the recording run's).
+  MissionWork work;
 };
 
 /// Runs the mission. Throws only on configuration errors; supply

@@ -6,6 +6,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "opt/archive.h"
 #include "opt/surrogate.h"
 
 namespace brightsi::opt {
@@ -13,6 +14,11 @@ namespace brightsi::opt {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+constexpr double kCrossoverProbability = 0.9;  ///< per parent pair
+constexpr double kCrossoverEta = 15.0;         ///< SBX distribution index
+constexpr double kMutationEta = 20.0;          ///< polynomial-mutation index (rate = 1/dim)
+constexpr std::size_t kSurrogateMaxPoints = 192;  ///< newest archive rows used for training
 
 /// SplitMix64: tiny, seed-stable and platform-independent. Every random
 /// draw of a run comes from one instance consumed on the serial driver
@@ -44,41 +50,27 @@ struct RowObjectives {
   double violation = kInfinity;  ///< 0 = feasible; +inf = failed / NaN
 };
 
-/// Mutable state of one optimize_nsga2() run. Mirrors the grid
-/// optimizer's SearchState: archive rows in evaluation order, exact
-/// coordinates deduped, strict-improvement incumbent.
+/// Mutable state of one optimize_nsga2() run: the evaluation archive
+/// shared with the grid optimizer, plus the Pareto objectives of each of
+/// its rows.
 struct EvoState {
-  const Study& study;
-  ResolvedObjective objective;
-  sweep::BatchEvaluationSession session;
-  const Nsga2Options& options;
-
-  OptResult result;
-  std::vector<std::vector<double>> points;      ///< coordinates per archive row
-  std::vector<RowObjectives> row_objectives;    ///< per archive row
-  std::map<std::vector<double>, int> seen;
-  double best_score = -kInfinity;
-
-  [[nodiscard]] bool budget_exhausted() const {
-    return static_cast<int>(result.archive.rows.size()) >= options.budget;
-  }
+  EvaluationArchive archive;
+  std::vector<RowObjectives> row_objectives;  ///< per archive row
 };
 
-RowObjectives classify_row(const EvoState& state, const sweep::ScenarioResult& row) {
+RowObjectives classify_row(const ResolvedObjective& objective, const sweep::ScenarioResult& row) {
   RowObjectives objectives;
   if (row.failed) {
     return objectives;  // violation stays +inf; metrics may be empty
   }
-  const double f =
-      row.metrics[static_cast<std::size_t>(state.objective.pareto_maximize_index())];
-  const double g =
-      row.metrics[static_cast<std::size_t>(state.objective.pareto_minimize_index())];
+  const double f = row.metrics[static_cast<std::size_t>(objective.pareto_maximize_index())];
+  const double g = row.metrics[static_cast<std::size_t>(objective.pareto_minimize_index())];
   if (std::isnan(f) || std::isnan(g)) {
     return objectives;  // a NaN objective cannot be ranked: treat as failed
   }
   objectives.maximize = f;
   objectives.minimize = g;
-  objectives.violation = state.objective.constraint_violation(row.metrics);
+  objectives.violation = objective.constraint_violation(row.metrics);
   return objectives;
 }
 
@@ -230,9 +222,9 @@ std::vector<double> denormalize(const Study& study, const std::vector<double>& u
 /// fixed number of RNG values per axis regardless of branch, keeping the
 /// stream position independent of the parents' values.
 std::vector<double> sbx_child(Rng& rng, const std::vector<double>& p1,
-                              const std::vector<double>& p2, double probability, double eta) {
+                              const std::vector<double>& p2) {
   std::vector<double> child(p1.size());
-  const bool crossover = rng.next_double() < probability;
+  const bool crossover = rng.next_double() < kCrossoverProbability;
   for (std::size_t a = 0; a < p1.size(); ++a) {
     const double u = rng.next_double();
     const double pick = rng.next_double();
@@ -240,8 +232,8 @@ std::vector<double> sbx_child(Rng& rng, const std::vector<double>& p1,
       child[a] = p1[a];
       continue;
     }
-    const double beta = u <= 0.5 ? std::pow(2.0 * u, 1.0 / (eta + 1.0))
-                                 : std::pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (eta + 1.0));
+    const double beta = u <= 0.5 ? std::pow(2.0 * u, 1.0 / (kCrossoverEta + 1.0))
+                                 : std::pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (kCrossoverEta + 1.0));
     const double c1 = 0.5 * ((1.0 + beta) * p1[a] + (1.0 - beta) * p2[a]);
     const double c2 = 0.5 * ((1.0 - beta) * p1[a] + (1.0 + beta) * p2[a]);
     child[a] = std::clamp(pick < 0.5 ? c1 : c2, 0.0, 1.0);
@@ -251,7 +243,7 @@ std::vector<double> sbx_child(Rng& rng, const std::vector<double>& p1,
 
 /// Boundary-aware polynomial mutation in place (rate 1/dim). Like
 /// sbx_child, consumes a fixed two draws per axis.
-void mutate(Rng& rng, std::vector<double>& u, double eta) {
+void mutate(Rng& rng, std::vector<double>& u) {
   const double rate = 1.0 / static_cast<double>(u.size());
   for (double& value : u) {
     const double hit = rng.next_double();
@@ -263,11 +255,11 @@ void mutate(Rng& rng, std::vector<double>& u, double eta) {
     const double hi = 1.0 - value;  // distance to the upper boundary
     double delta = 0.0;
     if (r < 0.5) {
-      const double b = 2.0 * r + (1.0 - 2.0 * r) * std::pow(hi, eta + 1.0);
-      delta = std::pow(b, 1.0 / (eta + 1.0)) - 1.0;
+      const double b = 2.0 * r + (1.0 - 2.0 * r) * std::pow(hi, kMutationEta + 1.0);
+      delta = std::pow(b, 1.0 / (kMutationEta + 1.0)) - 1.0;
     } else {
-      const double b = 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * std::pow(lo, eta + 1.0);
-      delta = 1.0 - std::pow(b, 1.0 / (eta + 1.0));
+      const double b = 2.0 * (1.0 - r) + 2.0 * (r - 0.5) * std::pow(lo, kMutationEta + 1.0);
+      delta = 1.0 - std::pow(b, 1.0 / (kMutationEta + 1.0));
     }
     value = std::clamp(value + delta, 0.0, 1.0);
   }
@@ -301,41 +293,13 @@ std::vector<std::vector<double>> latin_hypercube(Rng& rng, const Study& study, i
   return points;
 }
 
-/// Evaluates the fresh prefix of `candidates` that fits the remaining
-/// budget — the same submission-order, strict-improvement bookkeeping as
-/// the grid optimizer's evaluate_batch, plus the Pareto objectives.
+/// Evaluates `candidates` through the archive and classifies the rows it
+/// appended.
 void evaluate_candidates(EvoState& state, const std::vector<std::vector<double>>& candidates) {
-  std::vector<sweep::ScenarioSpec> specs;
-  std::vector<std::vector<double>> fresh;
-  const int archived = static_cast<int>(state.result.archive.rows.size());
-  for (const std::vector<double>& point : candidates) {
-    if (state.seen.contains(point)) {
-      continue;
-    }
-    if (archived + static_cast<int>(specs.size()) >= state.options.budget) {
-      break;
-    }
-    state.seen.emplace(point, archived + static_cast<int>(specs.size()));
-    specs.push_back(make_candidate_spec(state.study, point));
-    fresh.push_back(point);
-  }
-  if (specs.empty()) {
-    return;
-  }
-
-  std::vector<sweep::ScenarioResult> rows = state.session.evaluate(specs);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const bool ok = !rows[i].failed && state.objective.feasible(rows[i].metrics);
-    const double score = ok ? state.objective.score(rows[i].metrics) : -kInfinity;
-    state.row_objectives.push_back(classify_row(state, rows[i]));
-    state.result.archive.rows.push_back(std::move(rows[i]));
-    state.points.push_back(fresh[i]);
-    state.result.feasible.push_back(ok);
-    state.result.scores.push_back(score);
-    if (score > state.best_score) {
-      state.best_score = score;
-      state.result.best_index = static_cast<int>(state.result.archive.rows.size()) - 1;
-    }
+  state.archive.evaluate(candidates);
+  const std::vector<sweep::ScenarioResult>& rows = state.archive.result().archive.rows;
+  for (std::size_t i = state.row_objectives.size(); i < rows.size(); ++i) {
+    state.row_objectives.push_back(classify_row(state.archive.objective(), rows[i]));
   }
 }
 
@@ -377,15 +341,14 @@ std::vector<int> select_survivors(const EvoState& state, const std::vector<int>&
 bool train_surrogate(const EvoState& state, RbfSurrogate& surrogate) {
   std::vector<std::vector<double>> inputs;
   std::vector<std::vector<double>> targets;
-  const std::size_t total = state.result.archive.rows.size();
-  const std::size_t cap = static_cast<std::size_t>(std::max(1, state.options.surrogate_max_points));
-  const std::size_t start = total > cap ? total - cap : 0;
+  const std::size_t total = state.row_objectives.size();
+  const std::size_t start = total > kSurrogateMaxPoints ? total - kSurrogateMaxPoints : 0;
   for (std::size_t i = start; i < total; ++i) {
     const RowObjectives& objectives = state.row_objectives[i];
     if (objectives.violation == kInfinity) {
       continue;  // failed / NaN rows carry no objective signal
     }
-    inputs.push_back(normalize(state.study, state.points[i]));
+    inputs.push_back(normalize(state.archive.study(), state.archive.point(static_cast<int>(i))));
     targets.push_back({objectives.maximize, objectives.minimize});
   }
   return surrogate.train(inputs, targets);
@@ -405,7 +368,7 @@ std::vector<std::vector<double>> screen_pool(const EvoState& state,
   std::vector<Predicted> predicted;
   predicted.reserve(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const std::vector<double> y = surrogate.predict(normalize(state.study, pool[i]));
+    const std::vector<double> y = surrogate.predict(normalize(state.archive.study(), pool[i]));
     predicted.push_back({i, {y[0], y[1], 0.0}});
   }
   // Reuse the domination machinery on a synthetic index space: a simple
@@ -441,38 +404,13 @@ std::vector<std::vector<double>> screen_pool(const EvoState& state,
 }  // namespace
 
 OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
-  study.validate();
-  if (options.budget < 1) {
-    throw std::invalid_argument("nsga2 budget must be at least 1");
-  }
   if (options.population < 4) {
     throw std::invalid_argument("nsga2 population must be at least 4");
   }
-
-  EvoState state{study,
-                 ResolvedObjective(study.objective, study.evaluator.metrics),
-                 sweep::BatchEvaluationSession(study.base, study.evaluator,
-                                               {options.thread_count, options.reuse_structures},
-                                               options.backend),
-                 options,
-                 {},
-                 {},
-                 {},
-                 {},
-                 -kInfinity};
-  if (!state.objective.has_pareto_pair()) {
+  EvoState state{EvaluationArchive(study, options, "nsga2"), {}};
+  if (!state.archive.objective().has_pareto_pair()) {
     throw std::invalid_argument("study '" + study.name +
                                 "' has no Pareto pair; nsga2 needs two objectives");
-  }
-  state.result.algo = "nsga2";
-  state.result.study_name = study.name;
-  state.result.objective_description = study.objective.describe();
-  state.result.archive.plan_name = study.name;
-  state.result.archive.evaluator_name = study.evaluator.name;
-  state.result.archive.metric_names = study.evaluator.metrics;
-  state.result.archive.thread_count = state.session.thread_count();
-  for (const StudyParameter& parameter : study.parameters) {
-    state.result.archive.override_names.push_back(parameter.param);
   }
 
   Rng rng{options.seed};
@@ -506,13 +444,13 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
   evaluate_candidates(state, initial);
 
   // Population = archive indices of the current survivors.
-  std::vector<int> population(state.result.archive.rows.size());
+  std::vector<int> population(state.row_objectives.size());
   for (std::size_t i = 0; i < population.size(); ++i) {
     population[i] = static_cast<int>(i);
   }
 
   RbfSurrogate surrogate;
-  while (!state.budget_exhausted() && !population.empty()) {
+  while (!state.archive.budget_exhausted() && !population.empty()) {
     std::map<int, int> rank_of;
     const std::vector<std::vector<int>> fronts = sort_fronts(state, population, rank_of);
     std::map<int, double> crowding;
@@ -522,8 +460,7 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
       }
     }
 
-    const bool screening = options.surrogate && options.screen_factor > 1 &&
-                           train_surrogate(state, surrogate);
+    const bool screening = options.screen_factor > 1 && train_surrogate(state, surrogate);
     const int want = screening ? population_size * options.screen_factor : population_size;
 
     // Propose offspring, deduping against everything already evaluated
@@ -535,13 +472,11 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
     while (static_cast<int>(pool.size()) < want && attempts++ < attempt_cap) {
       const int parent1 = tournament(rng, population, rank_of, crowding);
       const int parent2 = tournament(rng, population, rank_of, crowding);
-      std::vector<double> u = sbx_child(
-          rng, normalize(study, state.points[static_cast<std::size_t>(parent1)]),
-          normalize(study, state.points[static_cast<std::size_t>(parent2)]),
-          options.crossover_probability, options.crossover_eta);
-      mutate(rng, u, options.mutation_eta);
+      std::vector<double> u = sbx_child(rng, normalize(study, state.archive.point(parent1)),
+                                        normalize(study, state.archive.point(parent2)));
+      mutate(rng, u);
       std::vector<double> point = snap_study_point(study, denormalize(study, u));
-      if (state.seen.contains(point) || in_pool.contains(point)) {
+      if (state.archive.row_of(point) >= 0 || in_pool.contains(point)) {
         continue;
       }
       in_pool.emplace(point, 0);
@@ -553,9 +488,9 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
 
     std::vector<std::vector<double>> offspring;
     if (screening) {
-      state.result.surrogate_candidates += static_cast<long long>(pool.size());
+      state.archive.result().surrogate_candidates += static_cast<long long>(pool.size());
       offspring = screen_pool(state, surrogate, pool, population_size);
-      state.result.surrogate_screened +=
+      state.archive.result().surrogate_screened +=
           static_cast<long long>(pool.size()) - static_cast<long long>(offspring.size());
     } else {
       offspring = std::move(pool);
@@ -564,13 +499,13 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
       }
     }
 
-    const int before = static_cast<int>(state.result.archive.rows.size());
+    const int before = state.archive.size();
     evaluate_candidates(state, offspring);
-    const int after = static_cast<int>(state.result.archive.rows.size());
+    const int after = state.archive.size();
     if (after == before) {
       break;  // budget exhausted before any offspring could run
     }
-    ++state.result.generations;
+    ++state.archive.result().generations;
 
     std::vector<int> merged = population;
     for (int row = before; row < after; ++row) {
@@ -579,19 +514,7 @@ OptResult optimize_nsga2(const Study& study, const Nsga2Options& options) {
     population = select_survivors(state, merged, population_size);
   }
 
-  std::vector<int> feasible_rows;
-  for (std::size_t i = 0; i < state.result.archive.rows.size(); ++i) {
-    if (state.result.feasible[i]) {
-      feasible_rows.push_back(static_cast<int>(i));
-    }
-  }
-  state.result.pareto_indices =
-      pareto_front(state.result.archive, feasible_rows,
-                   state.objective.pareto_maximize_index(),
-                   state.objective.pareto_minimize_index());
-  state.result.model_builds = state.session.model_build_count();
-  state.result.archive.exec = state.session.execution_stats();
-  return std::move(state.result);
+  return state.archive.finish();
 }
 
 double hypervolume_2d(std::vector<std::pair<double, double>> front, double ref_maximize,

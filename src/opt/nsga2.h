@@ -11,10 +11,10 @@
 // scalar ObjectiveSpec score is still computed per row, so the archive,
 // incumbent and emitters are shared with the grid optimizer byte for byte.
 //
-// Each generation is one batched, cache-warm call through
-// sweep::BatchEvaluationSession on the ExecutionBackend seam — so a
-// population shards and resumes through --store exactly like a sweep, and
-// rows stay byte-identical at any thread count. Everything random draws
+// Each generation is one batched, cache-warm call of the evaluation
+// archive the grid optimizer uses too (opt/archive.h) — so a population
+// shards and resumes through --store exactly like a sweep, and rows stay
+// byte-identical at any thread count. Everything random draws
 // from one fixed-seed deterministic generator consumed on the serial
 // driver thread: re-running (with a widened budget, against a warm store,
 // or after a mid-generation kill) replays the identical candidate
@@ -23,7 +23,6 @@
 #define BRIGHTSI_OPT_NSGA2_H
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,28 +30,16 @@
 
 namespace brightsi::opt {
 
-struct Nsga2Options {
-  int budget = 64;           ///< max real evaluator invocations (hard cap)
+struct Nsga2Options : SearchOptions {
   int population = 16;       ///< individuals per generation (>= 4)
-  int thread_count = 0;      ///< batch workers; 0 = hardware concurrency
-  bool reuse_structures = true;
   /// Fixed by default: determinism — not statistical variety — is the
   /// contract. Change it only to study seed sensitivity.
   std::uint64_t seed = 0x5EEDB10C0DE5EEDULL;
-  double crossover_probability = 0.9;  ///< per parent pair
-  double crossover_eta = 15.0;         ///< SBX distribution index
-  double mutation_eta = 20.0;          ///< polynomial-mutation index (rate = 1/dim)
   /// Surrogate pre-screen: each generation proposes screen_factor x
   /// population offspring, ranks them on RBF-predicted objectives and
-  /// really evaluates only the best `population`. screen_factor 1 or
-  /// surrogate=false disables the screen (every proposal is evaluated).
-  bool surrogate = true;
+  /// really evaluates only the best `population`. screen_factor 1
+  /// disables the screen (every proposal is evaluated).
   int screen_factor = 3;
-  int surrogate_max_points = 192;  ///< newest archive rows used for training
-  /// Execution backend (sweep/execution.h). Null = in-process local pool;
-  /// a shard backend persists every evaluated row in an on-disk store, so
-  /// a re-run resumes — mid-generation kills included.
-  std::shared_ptr<sweep::ExecutionBackend> backend;
 };
 
 /// Runs the evolutionary optimizer on a study whose objective carries a

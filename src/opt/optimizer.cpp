@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
 #include "core/report.h"
+#include "opt/archive.h"
 #include "sweep/scenario.h"
 
 namespace brightsi::opt {
@@ -47,117 +46,57 @@ sweep::ScenarioSpec make_candidate_spec(const Study& study, const std::vector<do
 
 namespace {
 
-constexpr double kNegativeInfinity = -std::numeric_limits<double>::infinity();
-
-/// Mutable state of one optimize() run: the session, the archive under
-/// construction and the dedup map from exact candidate coordinates to
-/// archive row. Candidate points are keyed on their exact doubles, so a
-/// point is never evaluated twice and never consumes budget twice.
-struct SearchState {
-  const Study& study;
-  ResolvedObjective objective;
-  sweep::BatchEvaluationSession session;
-  const OptimizerOptions& options;
-
-  OptResult result;
-  std::vector<std::vector<double>> points;  ///< coordinates per archive row
-  std::map<std::vector<double>, int> seen;
-  double best_score = kNegativeInfinity;
-
-  [[nodiscard]] bool budget_exhausted() const {
-    return static_cast<int>(result.archive.rows.size()) >= options.budget;
-  }
-};
-
-/// Evaluates the fresh (unseen) prefix of `candidates` that fits the
-/// remaining budget, appending rows to the archive in submission order and
-/// updating the incumbent (strict improvement only, so ties keep the
-/// earlier evaluation — deterministic for any thread count).
-void evaluate_batch(SearchState& state, const std::vector<std::vector<double>>& candidates) {
-  std::vector<sweep::ScenarioSpec> specs;
-  std::vector<std::vector<double>> fresh;
-  const int archived = static_cast<int>(state.result.archive.rows.size());
-  for (const std::vector<double>& point : candidates) {
-    if (state.seen.contains(point)) {
-      continue;
-    }
-    if (archived + static_cast<int>(specs.size()) >= state.options.budget) {
-      break;
-    }
-    state.seen.emplace(point, archived + static_cast<int>(specs.size()));
-    specs.push_back(make_candidate_spec(state.study, point));
-    fresh.push_back(point);
-  }
-  if (specs.empty()) {
-    return;
-  }
-
-  std::vector<sweep::ScenarioResult> rows = state.session.evaluate(specs);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const bool ok = !rows[i].failed && state.objective.feasible(rows[i].metrics);
-    const double score = ok ? state.objective.score(rows[i].metrics) : kNegativeInfinity;
-    state.result.archive.rows.push_back(std::move(rows[i]));
-    state.points.push_back(fresh[i]);
-    state.result.feasible.push_back(ok);
-    state.result.scores.push_back(score);
-    if (score > state.best_score) {
-      state.best_score = score;
-      state.result.best_index = static_cast<int>(state.result.archive.rows.size()) - 1;
-    }
-  }
-}
+constexpr double kShrink = 0.5;  ///< per-pass contraction of the axis half-range
+constexpr int kMaxPasses = 16;   ///< refinement passes before polish
 
 /// Score of one point, evaluating it if unseen; nullopt when the budget is
 /// exhausted before it could be evaluated.
-std::optional<double> evaluate_point(SearchState& state, const std::vector<double>& point) {
-  auto it = state.seen.find(point);
-  if (it == state.seen.end()) {
-    evaluate_batch(state, {point});
-    it = state.seen.find(point);
-    if (it == state.seen.end()) {
-      return std::nullopt;
-    }
+std::optional<double> evaluate_point(EvaluationArchive& archive,
+                                     const std::vector<double>& point) {
+  archive.evaluate({point});
+  const int row = archive.row_of(point);
+  if (row < 0) {
+    return std::nullopt;
   }
-  return state.result.scores[static_cast<std::size_t>(it->second)];
+  return archive.result().scores[static_cast<std::size_t>(row)];
 }
 
 /// The point refinement continues from: the incumbent, or the first
 /// evaluated point while nothing is feasible yet.
-const std::vector<double>& anchor_point(const SearchState& state) {
-  return state.result.best_index >= 0
-             ? state.points[static_cast<std::size_t>(state.result.best_index)]
-             : state.points.front();
+const std::vector<double>& anchor_point(const EvaluationArchive& archive) {
+  return archive.point(std::max(archive.result().best_index, 0));
 }
 
 /// Successive grid refinement: per pass, sweep each axis with
 /// `axis_points` samples spanning the current half-range around the
 /// incumbent (each axis a batched generation), then contract the ranges.
-void refine(SearchState& state) {
-  const std::vector<StudyParameter>& parameters = state.study.parameters;
+void refine(EvaluationArchive& archive, const OptimizerOptions& options) {
+  const Study& study = archive.study();
+  const std::vector<StudyParameter>& parameters = study.parameters;
   std::vector<double> half(parameters.size());
   for (std::size_t a = 0; a < parameters.size(); ++a) {
     half[a] = (parameters[a].upper - parameters[a].lower) / 2.0;
   }
 
-  for (int pass = 0; pass < state.options.max_passes && !state.budget_exhausted(); ++pass) {
-    for (std::size_t a = 0; a < parameters.size() && !state.budget_exhausted(); ++a) {
-      const std::vector<double> anchor = anchor_point(state);
+  for (int pass = 0; pass < kMaxPasses && !archive.budget_exhausted(); ++pass) {
+    for (std::size_t a = 0; a < parameters.size() && !archive.budget_exhausted(); ++a) {
+      const std::vector<double> anchor = anchor_point(archive);
       const double lo = std::max(parameters[a].lower, anchor[a] - half[a]);
       const double hi = std::min(parameters[a].upper, anchor[a] + half[a]);
       std::vector<std::vector<double>> candidates;
-      const int k = std::max(2, state.options.axis_points);
+      const int k = std::max(2, options.axis_points);
       for (int i = 0; i < k; ++i) {
         std::vector<double> point = anchor;
         point[a] = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(k - 1);
-        candidates.push_back(snap_study_point(state.study, std::move(point)));
+        candidates.push_back(snap_study_point(study, std::move(point)));
       }
-      evaluate_batch(state, candidates);
+      archive.evaluate(candidates);
     }
-    ++state.result.passes;
+    ++archive.result().passes;
 
     bool any_resolvable = false;
     for (std::size_t a = 0; a < parameters.size(); ++a) {
-      half[a] *= state.options.shrink;
+      half[a] *= kShrink;
       const double resolution =
           parameters[a].integer ? 0.5 : (parameters[a].upper - parameters[a].lower) * 1e-9;
       any_resolvable = any_resolvable || half[a] >= resolution;
@@ -171,13 +110,14 @@ void refine(SearchState& state) {
 /// Nelder–Mead polish over the continuous parameters (integer coordinates
 /// pinned at the incumbent), spending whatever budget remains. Candidates
 /// are clamped to bounds; repeats hit the archive cache and cost nothing.
-void polish(SearchState& state) {
-  if (state.result.best_index < 0 || state.budget_exhausted()) {
+void polish(EvaluationArchive& archive, const OptimizerOptions& options) {
+  const Study& study = archive.study();
+  if (archive.result().best_index < 0 || archive.budget_exhausted()) {
     return;
   }
   std::vector<std::size_t> axes;
-  for (std::size_t a = 0; a < state.study.parameters.size(); ++a) {
-    if (!state.study.parameters[a].integer) {
+  for (std::size_t a = 0; a < study.parameters.size(); ++a) {
+    if (!study.parameters[a].integer) {
       axes.push_back(a);
     }
   }
@@ -187,18 +127,18 @@ void polish(SearchState& state) {
 
   struct Vertex {
     std::vector<double> point;
-    double score = kNegativeInfinity;
+    double score = 0.0;
   };
   std::vector<Vertex> simplex;
-  const std::vector<double> origin = anchor_point(state);
-  simplex.push_back({origin, state.best_score});
+  const std::vector<double> origin = anchor_point(archive);
+  simplex.push_back({origin, archive.best_score()});
   for (const std::size_t a : axes) {
-    const StudyParameter& parameter = state.study.parameters[a];
+    const StudyParameter& parameter = study.parameters[a];
     const double step = (parameter.upper - parameter.lower) * 0.05;
     std::vector<double> point = origin;
     point[a] += point[a] + step <= parameter.upper ? step : -step;
-    point = snap_study_point(state.study, std::move(point));
-    const std::optional<double> score = evaluate_point(state, point);
+    point = snap_study_point(study, std::move(point));
+    const std::optional<double> score = evaluate_point(archive, point);
     if (!score.has_value()) {
       return;
     }
@@ -209,8 +149,8 @@ void polish(SearchState& state) {
     std::stable_sort(simplex.begin(), simplex.end(),
                      [](const Vertex& x, const Vertex& y) { return x.score > y.score; });
   };
-  const int step_cap = std::max(32, state.options.budget);
-  for (int step = 0; step < step_cap && !state.budget_exhausted(); ++step) {
+  const int step_cap = std::max(32, options.budget);
+  for (int step = 0; step < step_cap && !archive.budget_exhausted(); ++step) {
     order();
     Vertex& worst = simplex.back();
     if (simplex.front().score - worst.score <=
@@ -231,18 +171,18 @@ void polish(SearchState& state) {
       for (const std::size_t a : axes) {
         point[a] = centroid[a] + towards * (centroid[a] - worst.point[a]);
       }
-      return snap_study_point(state.study, std::move(point));
+      return snap_study_point(study, std::move(point));
     };
 
     const std::vector<double> reflected = blend(1.0);
-    const std::optional<double> reflected_score = evaluate_point(state, reflected);
+    const std::optional<double> reflected_score = evaluate_point(archive, reflected);
     if (!reflected_score.has_value()) {
       break;
     }
-    ++state.result.polish_steps;
+    ++archive.result().polish_steps;
     if (*reflected_score > simplex.front().score) {
       const std::vector<double> expanded = blend(2.0);
-      const std::optional<double> expanded_score = evaluate_point(state, expanded);
+      const std::optional<double> expanded_score = evaluate_point(archive, expanded);
       if (expanded_score.has_value() && *expanded_score > *reflected_score) {
         worst = {expanded, *expanded_score};
       } else {
@@ -255,7 +195,7 @@ void polish(SearchState& state) {
       continue;
     }
     const std::vector<double> contracted = blend(-0.5);
-    const std::optional<double> contracted_score = evaluate_point(state, contracted);
+    const std::optional<double> contracted_score = evaluate_point(archive, contracted);
     if (contracted_score.has_value() && *contracted_score > worst.score) {
       worst = {contracted, *contracted_score};
       continue;
@@ -266,8 +206,8 @@ void polish(SearchState& state) {
       for (const std::size_t a : axes) {
         point[a] = simplex.front().point[a] + 0.5 * (point[a] - simplex.front().point[a]);
       }
-      point = snap_study_point(state.study, std::move(point));
-      const std::optional<double> score = evaluate_point(state, point);
+      point = snap_study_point(study, std::move(point));
+      const std::optional<double> score = evaluate_point(archive, point);
       if (!score.has_value()) {
         return;
       }
@@ -349,58 +289,20 @@ const sweep::ScenarioResult* OptResult::best() const {
 }
 
 OptResult optimize(const Study& study, const OptimizerOptions& options) {
-  study.validate();
-  if (options.budget < 1) {
-    throw std::invalid_argument("optimizer budget must be at least 1");
-  }
-
-  SearchState state{
-      study,
-      ResolvedObjective(study.objective, study.evaluator.metrics),
-      sweep::BatchEvaluationSession(study.base, study.evaluator,
-                                    {options.thread_count, options.reuse_structures},
-                                    options.backend),
-      options,
-      {},
-      {},
-      {},
-      kNegativeInfinity};
-  state.result.study_name = study.name;
-  state.result.objective_description = study.objective.describe();
-  state.result.archive.plan_name = study.name;
-  state.result.archive.evaluator_name = study.evaluator.name;
-  state.result.archive.metric_names = study.evaluator.metrics;
-  state.result.archive.thread_count = state.session.thread_count();
-  for (const StudyParameter& parameter : study.parameters) {
-    state.result.archive.override_names.push_back(parameter.param);
-  }
+  EvaluationArchive archive(study, options, "grid");
 
   // Generation 0: the center of the box.
   std::vector<double> center(study.parameters.size());
   for (std::size_t a = 0; a < study.parameters.size(); ++a) {
     center[a] = (study.parameters[a].lower + study.parameters[a].upper) / 2.0;
   }
-  evaluate_batch(state, {snap_study_point(study, std::move(center))});
+  archive.evaluate({snap_study_point(study, std::move(center))});
 
-  refine(state);
+  refine(archive, options);
   if (options.nelder_mead) {
-    polish(state);
+    polish(archive, options);
   }
-
-  if (state.objective.has_pareto_pair()) {
-    std::vector<int> candidates;
-    for (std::size_t i = 0; i < state.result.archive.rows.size(); ++i) {
-      if (state.result.feasible[i]) {
-        candidates.push_back(static_cast<int>(i));
-      }
-    }
-    state.result.pareto_indices =
-        pareto_front(state.result.archive, candidates, state.objective.pareto_maximize_index(),
-                     state.objective.pareto_minimize_index());
-  }
-  state.result.model_builds = state.session.model_build_count();
-  state.result.archive.exec = state.session.execution_stats();
-  return std::move(state.result);
+  return archive.finish();
 }
 
 std::vector<int> pareto_front(const sweep::SweepResult& archive,

@@ -1,10 +1,11 @@
 // Deterministic derivative-free design-space optimizer on top of the sweep
 // engine. A Study names the search space (registered sweep parameters with
-// bounds) and the ObjectiveSpec; optimize() drives a
-// sweep::BatchEvaluationSession as a batch-parallel objective oracle:
-// successive axis-grid refinement around the incumbent (each axis pass is
-// one batched generation), followed by an optional Nelder–Mead polish of
-// the continuous parameters with whatever budget remains.
+// bounds) and the ObjectiveSpec; optimize() spends its budget through the
+// evaluation archive (opt/archive.h), a batch-parallel objective oracle
+// shared with optimize_nsga2: successive axis-grid refinement around the
+// incumbent (each axis pass is one batched generation), followed by an
+// optional Nelder–Mead polish of the continuous parameters with whatever
+// budget remains.
 //
 // Everything is seed-free deterministic: candidate generation depends only
 // on bounds and previously observed metric values, candidates are archived
@@ -38,7 +39,6 @@ struct StudyParameter {
 /// A named optimization problem over the sweep machinery.
 struct Study {
   std::string name;
-  std::string summary;
   core::SystemConfig base;
   sweep::SweepEvaluator evaluator;
   ObjectiveSpec objective;
@@ -55,19 +55,22 @@ struct Study {
   void validate() const;
 };
 
-struct OptimizerOptions {
+/// What both search policies (optimize, optimize_nsga2) share: the
+/// evaluation budget and where candidates run.
+struct SearchOptions {
   int budget = 64;           ///< max evaluator invocations (hard cap)
   int thread_count = 0;      ///< batch workers; 0 = hardware concurrency
   bool reuse_structures = true;
-  int axis_points = 3;       ///< samples per axis per refinement pass (>= 2)
-  double shrink = 0.5;       ///< per-pass contraction of the axis half-range
-  int max_passes = 16;       ///< refinement passes before polish
-  bool nelder_mead = true;   ///< polish continuous parameters with leftover budget
-  /// Execution backend for the batch session (sweep/execution.h). Null =
-  /// the in-process local backend from thread_count/reuse_structures; a
-  /// shard backend gives the study a persistent on-disk result store, so
-  /// a re-run (or a widened budget) skips already-evaluated candidates.
+  /// Execution backend (sweep/execution.h). Null = the in-process local
+  /// backend from thread_count/reuse_structures; a shard backend gives the
+  /// study a persistent on-disk result store, so a re-run (or a widened
+  /// budget) skips already-evaluated candidates.
   std::shared_ptr<sweep::ExecutionBackend> backend;
+};
+
+struct OptimizerOptions : SearchOptions {
+  int axis_points = 3;       ///< samples per axis per refinement pass (>= 2)
+  bool nelder_mead = true;   ///< polish continuous parameters with leftover budget
 };
 
 /// The archive of one optimization run. `archive` holds every evaluated
@@ -84,7 +87,6 @@ struct OptResult {
                                     ///< maximized metric; empty when no pair configured
   int passes = 0;                   ///< refinement passes executed
   int polish_steps = 0;             ///< Nelder–Mead iterations executed
-  int model_builds = 0;             ///< worker structure builds (cache misses)
   std::string algo = "grid";        ///< producing algorithm ("grid", "nsga2")
   int generations = 0;              ///< evolutionary generations (nsga2 only)
   long long surrogate_candidates = 0;  ///< offspring proposed to the pre-screen

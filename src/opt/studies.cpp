@@ -26,8 +26,6 @@ MetricConstraint peak_temperature_cap() {
 Study channel_geometry_study() {
   Study study;
   study.name = "channel_geometry";
-  study.summary =
-      "channel gap/height, flow and inlet-T vs net power, T_peak <= 360 K cap";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 16;
   study.evaluator = sweep::array_thermal_evaluator();
@@ -50,8 +48,6 @@ Study channel_geometry_study() {
 Study flow_rate_study() {
   Study study;
   study.name = "flow_rate";
-  study.summary =
-      "co-simulated flow x inlet-T vs net power, T_peak <= 360 K cap (Pareto front)";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 16;
   study.evaluator = sweep::cosim_evaluator();
@@ -71,8 +67,6 @@ Study flow_rate_study() {
 Study vrm_placement_study() {
   Study study;
   study.name = "vrm_placement";
-  study.summary =
-      "VRM tap grid and output resistance vs cache-rail integrity (min rail V)";
   study.base = core::power7_system_config();
   study.evaluator = sweep::rail_integrity_evaluator();
   study.objective = maximize_metric("rail_min_v");
@@ -92,8 +86,6 @@ Study vrm_placement_study() {
 Study stack_depth_study() {
   Study study;
   study.name = "stack_depth";
-  study.summary =
-      "3D-stack depth: dies x flow x cooling-layer height vs net power, T cap";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 8;  // stacked solves are much larger
   study.base.fvm.axial_steps = 60;
@@ -117,9 +109,6 @@ Study stack_depth_study() {
 Study stack_pareto_study() {
   Study study;
   study.name = "stack_pareto";
-  study.summary =
-      "full 3D-stack trade space: dies x interlayer x channels x operating point, "
-      "net power vs peak-T front under the 360 K cap";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 8;  // stacked solves are much larger
   study.base.fvm.axial_steps = 60;
@@ -145,9 +134,6 @@ Study stack_pareto_study() {
 Study rack_geometry_study() {
   Study study;
   study.name = "rack_geometry";
-  study.summary =
-      "rack delivery + cooling: VRM grid/resistance x channel height x flow, "
-      "net power vs peak-T front under the cap";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 16;
   study.evaluator = sweep::cosim_evaluator();
@@ -172,9 +158,6 @@ Study rack_geometry_study() {
 Study rack_topology_study() {
   Study study;
   study.name = "rack_topology";
-  study.summary =
-      "fleet rack topology: chips x loops x segments x loop flow, capacity vs "
-      "pump power under the 360 K cap";
   study.base = core::power7_system_config();
   study.base.thermal_grid.axial_cells = 8;  // N chip solves per candidate
   study.evaluator = sweep::fleet_evaluator();

@@ -1,6 +1,6 @@
-// The execution seam under SweepRunner::run and opt::BatchEvaluationSession:
-// a backend turns (base config, evaluator, scenario list) into result rows
-// in scenario order.
+// The execution seam under SweepRunner::run and the optimizers' evaluation
+// archive (opt/archive.h): a backend turns (base config, evaluator,
+// scenario list) into result rows in scenario order.
 //
 //   local  — the in-process worker pool (the historical behaviour): one
 //            persistent WorkerState per thread, rows byte-identical at any
@@ -49,10 +49,6 @@ class ExecutionBackend {
                        std::vector<ScenarioResult>& rows) = 0;
 
   [[nodiscard]] virtual ExecutionStats stats() const = 0;
-
-  /// Thermal-model structure builds across all workers (the session-level
-  /// cache-hit accounting the optimizer reports).
-  [[nodiscard]] int model_build_count() const { return stats().model_builds; }
 };
 
 /// The in-process thread pool (thread count and reuse from `options`).

@@ -124,37 +124,6 @@ SweepResult SweepRunner::run(const SweepPlan& plan) const {
   return result;
 }
 
-BatchEvaluationSession::BatchEvaluationSession(core::SystemConfig base,
-                                               SweepEvaluator evaluator, SweepOptions options,
-                                               std::shared_ptr<ExecutionBackend> backend)
-    : base_(std::move(base)), evaluator_(std::move(evaluator)),
-      backend_(std::move(backend)) {
-  if (!evaluator_.fn) {
-    throw std::invalid_argument("batch evaluation session has no evaluator");
-  }
-  if (backend_ == nullptr) {
-    backend_ = make_local_backend(options);
-  }
-}
-
-std::vector<ScenarioResult> BatchEvaluationSession::evaluate(
-    const std::vector<ScenarioSpec>& candidates) {
-  std::vector<ScenarioResult> rows;
-  backend_->execute(base_, evaluator_, candidates, rows);
-  evaluations_ += static_cast<long long>(candidates.size());
-  return rows;
-}
-
-int BatchEvaluationSession::thread_count() const { return backend_->thread_count(); }
-
-int BatchEvaluationSession::model_build_count() const {
-  return backend_->model_build_count();
-}
-
-ExecutionStats BatchEvaluationSession::execution_stats() const {
-  return backend_->stats();
-}
-
 void write_sweep_csv(std::ostream& os, const SweepResult& result) {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(result.rows.size());

@@ -72,7 +72,7 @@ struct SweepOptions {
 };
 
 /// The options' thread count with 0 resolved to hardware concurrency
-/// (never less than 1). Shared by SweepRunner and BatchEvaluationSession.
+/// (never less than 1). Shared by SweepRunner and the execution backends.
 [[nodiscard]] int resolve_thread_count(const SweepOptions& options);
 
 /// Ordered union of override names across the plan's scenarios (first
@@ -98,46 +98,6 @@ class SweepRunner {
  private:
   SweepOptions options_;
   std::shared_ptr<ExecutionBackend> backend_;  ///< null = fresh local per run
-};
-
-/// Persistent batched-evaluation session: the optimizer-facing entry point
-/// of the sweep engine. Where SweepRunner::run expands a full plan,
-/// evaluate() takes an explicit candidate list — and the backend's
-/// per-worker states (thermal-model structure cache) survive across
-/// calls, so successive optimizer generations reuse assembled operators
-/// exactly like consecutive scenarios of one sweep do. Results are in
-/// candidate order and byte-identical for any thread count.
-class BatchEvaluationSession {
- public:
-  /// `backend` null selects the local backend built from `options`; a
-  /// shard backend gives the session a persistent cross-run result store.
-  BatchEvaluationSession(core::SystemConfig base, SweepEvaluator evaluator,
-                         SweepOptions options = {},
-                         std::shared_ptr<ExecutionBackend> backend = nullptr);
-
-  /// Evaluates every candidate against the session's base config. Rows
-  /// come back in candidate order; per-candidate exceptions become failed
-  /// rows, exactly as in SweepRunner::run.
-  [[nodiscard]] std::vector<ScenarioResult> evaluate(
-      const std::vector<ScenarioSpec>& candidates);
-
-  [[nodiscard]] const core::SystemConfig& base() const { return base_; }
-  [[nodiscard]] const SweepEvaluator& evaluator() const { return evaluator_; }
-  [[nodiscard]] int thread_count() const;
-  /// Evaluator invocations so far (all evaluate() calls; store hits count
-  /// — they answered an invocation).
-  [[nodiscard]] long long evaluation_count() const { return evaluations_; }
-  /// Thermal-model structure builds across all workers; the gap to
-  /// evaluation_count() is the session's cache-hit count.
-  [[nodiscard]] int model_build_count() const;
-  /// Backend work accounting (store hits vs fresh evaluations).
-  [[nodiscard]] ExecutionStats execution_stats() const;
-
- private:
-  core::SystemConfig base_;
-  SweepEvaluator evaluator_;
-  std::shared_ptr<ExecutionBackend> backend_;
-  long long evaluations_ = 0;
 };
 
 /// Shortest decimal representation that parses back to exactly `value` —

@@ -57,8 +57,8 @@ class ThermalModelCache {
 /// depth-1 slot: mission plans put the electrochemical axis outermost, so
 /// scenarios sharing a trajectory are far apart in plan order. Valid only
 /// while the worker evaluates against one base config — the runner
-/// guarantees that (fresh workers per SweepRunner::run; a fixed base per
-/// BatchEvaluationSession).
+/// guarantees that (fresh workers per SweepRunner::run; one study's base
+/// per optimization run).
 class MissionTrajectoryCache {
  public:
   explicit MissionTrajectoryCache(bool enabled = true) : enabled_(enabled) {}

@@ -200,6 +200,30 @@ TEST(Mission, ReportsThermalWorkCounters) {
   EXPECT_GT(result.final_state.size(), 0u);  // non-empty checkpoint
 }
 
+TEST(Mission, ReplayReportsTheRecordingRunsWorkCounters) {
+  // A replay skips the thermal solve, so it reports the work counters of
+  // the run that recorded its trajectory — every one of them, on the rom
+  // backend where the rom counters are non-zero too.
+  auto config = fast_mission(0.5);
+  config.transient_backend = brightsi::thermal::TransientBackend::kRom;
+  co::MissionThermalTrajectory trajectory;
+  const auto recorded = co::run_mission(config, nullptr, nullptr, &trajectory);
+  const auto replayed = co::run_mission(config, nullptr, nullptr, nullptr, &trajectory);
+  ASSERT_GT(recorded.rom_steps, 0);
+  EXPECT_EQ(replayed.steps, recorded.steps);
+  EXPECT_EQ(replayed.thermal_iterations, recorded.thermal_iterations);
+  EXPECT_EQ(replayed.thermal_assembly_time_s, recorded.thermal_assembly_time_s);
+  EXPECT_EQ(replayed.thermal_setup_time_s, recorded.thermal_setup_time_s);
+  EXPECT_EQ(replayed.thermal_solve_time_s, recorded.thermal_solve_time_s);
+  EXPECT_EQ(replayed.rom_steps, recorded.rom_steps);
+  EXPECT_EQ(replayed.rom_fallbacks, recorded.rom_fallbacks);
+  EXPECT_EQ(replayed.rom_basis_size, recorded.rom_basis_size);
+  EXPECT_EQ(replayed.rom_build_time_s, recorded.rom_build_time_s);
+  EXPECT_EQ(replayed.rom_max_bound_k, recorded.rom_max_bound_k);
+  EXPECT_EQ(replayed.rom_cumulative_bound_k, recorded.rom_cumulative_bound_k);
+  EXPECT_EQ(replayed.final_soc, recorded.final_soc);
+}
+
 TEST(Mission, SharedModelMustMatchTheConfig) {
   const auto config = fast_mission(0.5);
   const auto floorplan = ch::make_power7_floorplan(config.system.power_spec);

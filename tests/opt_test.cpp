@@ -1,20 +1,24 @@
 // Tests of the design-space optimization layer: objective resolution and
-// negative paths, Pareto extraction, batch-session reuse, determinism of
-// the optimizer output across thread counts, and the acceptance bar — the
-// optimizer strictly beating the best row of the corresponding registered
-// sweep plan at an equal evaluation budget.
+// negative paths, Pareto extraction, worker-cache reuse across generations,
+// determinism of the optimizer output across thread counts, resume through
+// a result store, and the acceptance bar — the optimizer strictly beating
+// the best row of the corresponding registered sweep plan at an equal
+// evaluation budget.
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "core/report.h"
 #include "opt/studies.h"
+#include "sweep/execution.h"
 #include "sweep/registry.h"
 #include "sweep/runner.h"
 
 namespace co = brightsi::core;
+namespace fs = std::filesystem;
 namespace op = brightsi::opt;
 namespace sw = brightsi::sweep;
 
@@ -209,10 +213,10 @@ TEST(Pareto, ExtractsTheNonDominatedSet) {
   EXPECT_EQ(front, (std::vector<int>{5, 0, 4, 1, 3}));
 }
 
-// ---------------------------------------------------------- batch session
-TEST(BatchSession, PersistsWorkerCachesAcrossGenerations) {
+// --------------------------------------------------------- local backend
+TEST(LocalBackend, PersistsWorkerCachesAcrossGenerations) {
   const op::Study study = op::make_registered_study("channel_geometry");
-  sw::BatchEvaluationSession session(study.base, study.evaluator, {1, true});
+  const auto backend = sw::make_local_backend({1, true});
 
   std::vector<sw::ScenarioSpec> generation;
   for (const double flow : {100.0, 400.0, 900.0}) {
@@ -221,23 +225,26 @@ TEST(BatchSession, PersistsWorkerCachesAcrossGenerations) {
     spec.set("flow_ml_min", flow);
     generation.push_back(std::move(spec));
   }
-  const auto first = session.evaluate(generation);
-  const auto second = session.evaluate(generation);  // next optimizer generation
+  std::vector<sw::ScenarioResult> first;
+  std::vector<sw::ScenarioResult> second;  // the next optimizer generation
+  backend->execute(study.base, study.evaluator, generation, first);
+  backend->execute(study.base, study.evaluator, generation, second);
   ASSERT_EQ(first.size(), 3u);
   for (std::size_t i = 0; i < first.size(); ++i) {
     ASSERT_FALSE(first[i].failed) << first[i].error;
     EXPECT_EQ(first[i].metrics, second[i].metrics);  // bitwise repeatable
   }
-  EXPECT_EQ(session.evaluation_count(), 6);
+  EXPECT_EQ(backend->stats().evaluated, 6);
   // One thermal structure serves all six evaluations across both calls.
-  EXPECT_EQ(session.model_build_count(), 1);
+  EXPECT_EQ(backend->stats().model_builds, 1);
 
   // Invalid candidates become failed rows, not aborts — same as the
   // sweep runner's contract.
   sw::ScenarioSpec bad;
   bad.name = "bad";
   bad.set("channel_groups", 7.0);  // 88 % 7 != 0 -> validate() throws
-  const auto rows = session.evaluate({bad});
+  std::vector<sw::ScenarioResult> rows;
+  backend->execute(study.base, study.evaluator, {bad}, rows);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].failed);
   EXPECT_FALSE(rows[0].error.empty());
@@ -247,21 +254,61 @@ TEST(BatchSession, PersistsWorkerCachesAcrossGenerations) {
 TEST(Optimizer, DeterministicAcrossThreadCounts) {
   // The acceptance bar: the same study at 1 and 4 threads must produce
   // byte-identical archive CSV, Pareto CSV and JSON output (the optimizer
-  // mirrors the sweep engine's determinism contract).
-  const op::Study study = op::make_registered_study("vrm_placement");
-  op::OptimizerOptions serial;
-  serial.budget = 40;
-  serial.thread_count = 1;
-  op::OptimizerOptions parallel = serial;
-  parallel.thread_count = 4;
+  // mirrors the sweep engine's determinism contract) — for the cheap rail
+  // study and for stacked co-simulations with an integer die-count axis.
+  const std::pair<const char*, int> cases[] = {{"vrm_placement", 40}, {"stack_depth", 10}};
+  for (const auto& [name, budget] : cases) {
+    const op::Study study = op::make_registered_study(name);
+    op::OptimizerOptions serial;
+    serial.budget = budget;
+    serial.thread_count = 1;
+    op::OptimizerOptions parallel = serial;
+    parallel.thread_count = 4;
 
-  const op::OptResult result_1 = op::optimize(study, serial);
-  const op::OptResult result_4 = op::optimize(study, parallel);
-  EXPECT_EQ(result_1.best_index, result_4.best_index);
-  EXPECT_EQ(result_1.pareto_indices, result_4.pareto_indices);
-  EXPECT_EQ(opt_csv(result_1), opt_csv(result_4));
-  EXPECT_EQ(pareto_csv(result_1), pareto_csv(result_4));
-  EXPECT_EQ(opt_json(result_1), opt_json(result_4));
+    const op::OptResult result_1 = op::optimize(study, serial);
+    const op::OptResult result_4 = op::optimize(study, parallel);
+    EXPECT_EQ(result_1.evaluations(), budget) << name;
+    EXPECT_EQ(result_1.best_index, result_4.best_index) << name;
+    EXPECT_EQ(result_1.pareto_indices, result_4.pareto_indices) << name;
+    EXPECT_EQ(opt_csv(result_1), opt_csv(result_4)) << name;
+    EXPECT_EQ(pareto_csv(result_1), pareto_csv(result_4)) << name;
+    EXPECT_EQ(opt_json(result_1), opt_json(result_4)) << name;
+  }
+}
+
+TEST(Optimizer, WidenedBudgetResumesThroughTheStore) {
+  // A budget-10 run fills a fresh store; the budget-24 re-run against it
+  // replays the same search with the first 10 candidates resolved from
+  // disk, and emits exactly what an uninterrupted budget-24 run does.
+  const op::Study study = small_rail_study();
+  const fs::path dir = fs::path(::testing::TempDir()) / "brightsi_opt_resume";
+  fs::remove_all(dir);
+  const auto store_backend = [&] {
+    sw::ShardOptions shard;
+    shard.store_dir = dir.string();
+    shard.scope = study.name;
+    shard.local = {2, true};
+    return std::shared_ptr<sw::ExecutionBackend>(sw::make_shard_backend(std::move(shard)));
+  };
+
+  op::OptimizerOptions options;
+  options.budget = 24;
+  options.thread_count = 2;
+  const op::OptResult direct = op::optimize(study, options);
+
+  op::OptimizerOptions first = options;
+  first.budget = 10;
+  first.backend = store_backend();
+  EXPECT_EQ(op::optimize(study, first).evaluations(), 10);
+
+  op::OptimizerOptions second = options;
+  second.backend = store_backend();
+  const op::OptResult resumed = op::optimize(study, second);
+  EXPECT_EQ(opt_csv(resumed), opt_csv(direct));
+  EXPECT_EQ(opt_json(resumed), opt_json(direct));
+  EXPECT_EQ(resumed.archive.exec.store_hits, 10);
+  EXPECT_EQ(resumed.archive.exec.evaluated, 14);
+  fs::remove_all(dir);
 }
 
 TEST(Optimizer, BudgetIsAHardCapAndDedupNeverReevaluates) {

@@ -490,10 +490,10 @@ TEST(SweepCache, MissionTrajectoryCacheBasics) {
   EXPECT_EQ(cache.hit_count(), 0);
 
   brightsi::core::MissionThermalTrajectory trajectory;
-  trajectory.engine_steps = 42;
+  trajectory.work.steps = 42;
   cache.insert("k", trajectory);
   ASSERT_NE(cache.find("k"), nullptr);
-  EXPECT_EQ(cache.find("k")->engine_steps, 42);
+  EXPECT_EQ(cache.find("k")->work.steps, 42);
   EXPECT_EQ(cache.hit_count(), 2);  // only successful lookups count
   EXPECT_EQ(cache.find("other"), nullptr);
   EXPECT_EQ(cache.size(), 1u);

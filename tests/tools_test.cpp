@@ -1,8 +1,10 @@
 // Unit tests of tools/cli_args.h — the tiny argv helpers shared by the
 // brightsi_sweep and brightsi_opt drivers. The CLIs' negative-path ctest
 // entries exercise the binaries end to end; these tests pin the helper
-// semantics (missing values, integer parsing, minimums, duplicate-flag
-// last-wins, unknown-flag error text) at the unit level.
+// semantics (missing values, integer, seed and duration parsing, minimums,
+// duplicate-flag last-wins, unknown-flag error text) at the unit level.
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,39 @@ TEST(CliArgs, NextIntArgRejectsGarbageAndTrailingText) {
     const std::string message = invalid_argument_message(
         [&] { (void)to::next_int_arg(args.argc(), args.argv(), i, "--threads", 0); });
     EXPECT_EQ(message, std::string("not an integer after --threads: '") + bad + "'") << bad;
+  }
+}
+
+TEST(CliArgs, NextU64ArgParsesDigitsOnlyAcrossTheFullRange) {
+  Argv args({"prog", "--seed", "7", "--seed", "18446744073709551615"});
+  int i = 1;
+  EXPECT_EQ(to::next_u64_arg(args.argc(), args.argv(), i, "--seed"), 7u);
+  ++i;
+  EXPECT_EQ(to::next_u64_arg(args.argc(), args.argv(), i, "--seed"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"12abc", "-1", "+1", "abc", "", " 7", "0x10", "18446744073709551616"}) {
+    Argv bad_args({"prog", "--seed", bad});
+    i = 1;
+    const std::string message = invalid_argument_message(
+        [&] { (void)to::next_u64_arg(bad_args.argc(), bad_args.argv(), i, "--seed"); });
+    EXPECT_EQ(message, std::string("--seed expects an unsigned 64-bit integer, got: ") + bad)
+        << bad;
+  }
+}
+
+TEST(CliArgs, NextSecondsArgRejectsNegativeNanAndTrailingText) {
+  Argv args({"prog", "--lease-timeout", "2.5", "--lease-timeout", "0"});
+  int i = 1;
+  EXPECT_EQ(to::next_seconds_arg(args.argc(), args.argv(), i, "--lease-timeout"), 2.5);
+  ++i;
+  EXPECT_EQ(to::next_seconds_arg(args.argc(), args.argv(), i, "--lease-timeout"), 0.0);
+  for (const char* bad : {"5abc", "-1", "nan", "-nan", "X", "", "1e999"}) {
+    Argv bad_args({"prog", "--lease-timeout", bad});
+    i = 1;
+    const std::string message = invalid_argument_message([&] {
+      (void)to::next_seconds_arg(bad_args.argc(), bad_args.argv(), i, "--lease-timeout");
+    });
+    EXPECT_EQ(message, std::string("--lease-timeout expects seconds >= 0, got: ") + bad) << bad;
   }
 }
 

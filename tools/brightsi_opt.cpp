@@ -16,8 +16,7 @@
 //   --population N    nsga2 individuals per generation (default 16)
 //   --screen-factor K nsga2 offspring proposed per real evaluation slot
 //                     (default 3; 1 disables the surrogate screen)
-//   --no-surrogate    nsga2: evaluate every proposal, never screen
-//   --seed S          nsga2 RNG seed (fixed default; determinism contract)
+//   --seed S          nsga2 RNG seed, unsigned 64-bit (fixed default)
 //   --no-reuse        rebuild thermal structures per candidate
 //   --maximize M[*W]  replace the study's objective *terms*: maximize M
 //   --minimize M[*W]  ... or minimize it (repeatable; weights optional).
@@ -61,7 +60,7 @@ int usage(const char* argv0, int exit_code) {
                "usage: %s --list\n"
                "       %s <study> [--algo grid|nsga2] [--budget N] [--threads N]\n"
                "           [--axis-points K] [--no-polish] [--population N]\n"
-               "           [--screen-factor K] [--no-surrogate] [--seed S] [--no-reuse]\n"
+               "           [--screen-factor K] [--seed S] [--no-reuse]\n"
                "           [--maximize M[*W]] [--minimize M[*W]] [--cap M=V] [--floor M=V]\n"
                "           [--csv FILE] [--pareto FILE] [--json FILE] [--quiet]\n"
                "           [--solver ilu0|mg] [--transient full|rom] [--store DIR]\n",
@@ -100,11 +99,10 @@ void print_result(const op::OptResult& result) {
                 result.evaluations(), result.passes, result.polish_steps,
                 result.archive.thread_count);
   }
-  if (result.model_builds > 0) {
+  if (const int builds = result.archive.exec.model_builds; builds > 0) {
     // Only meaningful for evaluators that go through the thermal-model
     // structure cache; the rail evaluator, for example, never does.
-    std::printf("; %d thermal builds, %lld cache hits", result.model_builds,
-                result.evaluations() - result.model_builds);
+    std::printf("; %d thermal builds, %lld cache hits", builds, result.evaluations() - builds);
   }
   std::printf("\n");
 
@@ -146,7 +144,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    op::OptimizerOptions options;
+    op::SearchOptions search;  // what both algorithms share
+    op::OptimizerOptions grid;
     op::Nsga2Options evo;
     std::string algo = "grid";
     std::string csv_path;
@@ -168,24 +167,22 @@ int main(int argc, char** argv) {
       if (arg == "--algo") {
         algo = brightsi::tools::next_choice_arg(argc, argv, i, arg, {"grid", "nsga2"});
       } else if (arg == "--budget") {
-        options.budget = next_int(1);
+        search.budget = next_int(1);
       } else if (arg == "--population") {
         evo.population = next_int(4);
       } else if (arg == "--screen-factor") {
         evo.screen_factor = next_int(1);
-      } else if (arg == "--no-surrogate") {
-        evo.surrogate = false;
       } else if (arg == "--seed") {
-        evo.seed = std::stoull(next());
+        evo.seed = brightsi::tools::next_u64_arg(argc, argv, i, arg);
       } else if (arg == "--threads") {
         // 0 keeps the "hardware concurrency" default, as in brightsi_sweep.
-        options.thread_count = next_int(0);
+        search.thread_count = next_int(0);
       } else if (arg == "--axis-points") {
-        options.axis_points = next_int(2);
+        grid.axis_points = next_int(2);
       } else if (arg == "--no-polish") {
-        options.nelder_mead = false;
+        grid.nelder_mead = false;
       } else if (arg == "--no-reuse") {
-        options.reuse_structures = false;
+        search.reuse_structures = false;
       } else if (arg == "--maximize") {
         term_overrides.push_back(op::parse_objective_term(next(), 1.0));
       } else if (arg == "--minimize") {
@@ -237,18 +234,16 @@ int main(int argc, char** argv) {
       sw::ShardOptions shard;
       shard.store_dir = store_dir;
       shard.scope = study.name;
-      shard.local = {options.thread_count, options.reuse_structures};
-      options.backend = sw::make_shard_backend(std::move(shard));
+      shard.local = {search.thread_count, search.reuse_structures};
+      search.backend = sw::make_shard_backend(std::move(shard));
     }
     op::OptResult result;
     if (algo == "nsga2") {
-      evo.budget = options.budget;
-      evo.thread_count = options.thread_count;
-      evo.reuse_structures = options.reuse_structures;
-      evo.backend = options.backend;
+      static_cast<op::SearchOptions&>(evo) = search;
       result = op::optimize_nsga2(study, evo);
     } else {
-      result = op::optimize(study, options);
+      static_cast<op::SearchOptions&>(grid) = search;
+      result = op::optimize(study, grid);
     }
 
     if (!quiet) {

@@ -25,7 +25,7 @@
 //                   (requires --store; cooperating instances share DIR)
 //   --limit N       stop after N fresh evaluations (kill-injection for
 //                   resume tests; remaining rows stay pending)
-//   --lease-timeout S   steal a peer's lease after S seconds (default 60)
+//   --lease-timeout S   steal a peer's lease after S >= 0 seconds (default 60)
 //
 // A partial run (some rows pending) exits nonzero; rerun, run the other
 // shards, or merge with brightsi_merge --allow-missing.
@@ -197,12 +197,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--limit") {
         shard.row_limit = brightsi::tools::next_int_arg(argc, argv, i, arg, 0);
       } else if (arg == "--lease-timeout") {
-        const std::string value = next();
-        try {
-          shard.lease_timeout_s = std::stod(value);
-        } catch (const std::exception&) {
-          throw std::invalid_argument("--lease-timeout expects seconds, got: " + value);
-        }
+        shard.lease_timeout_s = brightsi::tools::next_seconds_arg(argc, argv, i, arg);
       } else if (arg == "--grid") {
         grid_axes.push_back(parse_axis(next()));
       } else if (arg == "--set") {

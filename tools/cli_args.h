@@ -4,6 +4,7 @@
 #ifndef BRIGHTSI_TOOLS_CLI_ARGS_H
 #define BRIGHTSI_TOOLS_CLI_ARGS_H
 
+#include <cstdint>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -36,6 +37,47 @@ inline int next_int_arg(int argc, char** argv, int& i, const std::string& flag,
   }
   if (value < minimum) {
     throw std::invalid_argument(flag + " must be >= " + std::to_string(minimum));
+  }
+  return value;
+}
+
+/// next_arg parsed completely as an unsigned 64-bit integer (--seed): digits
+/// only, since std::stoull alone reads "12abc" as 12 and wraps "-1".
+inline std::uint64_t next_u64_arg(int argc, char** argv, int& i, const std::string& flag) {
+  const std::string text = next_arg(argc, argv, i, flag);
+  const auto malformed = [&] {
+    return std::invalid_argument(flag + " expects an unsigned 64-bit integer, got: " + text);
+  };
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+    throw malformed();
+  }
+  try {
+    return std::stoull(text);
+  } catch (const std::out_of_range&) {
+    throw malformed();
+  }
+}
+
+/// next_arg parsed completely as seconds >= 0 (--lease-timeout). A negative
+/// or NaN timeout would make every live peer's lease look orphaned, so
+/// cooperating shards would steal each other's rows.
+inline double next_seconds_arg(int argc, char** argv, int& i, const std::string& flag) {
+  const std::string text = next_arg(argc, argv, i, flag);
+  const auto malformed = [&] {
+    return std::invalid_argument(flag + " expects seconds >= 0, got: " + text);
+  };
+  double value = 0.0;
+  try {
+    std::size_t consumed = 0;
+    value = std::stod(text, &consumed);
+    if (consumed != text.size()) {
+      throw malformed();
+    }
+  } catch (const std::exception&) {
+    throw malformed();
+  }
+  if (!(value >= 0.0)) {  // negative, or NaN
+    throw malformed();
   }
   return value;
 }
