@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "chip/power7.h"
 #include "core/report.h"
 #include "electrochem/vanadium.h"
@@ -76,25 +74,9 @@ void print_reproduction() {
   std::printf("  (peak varies < 1 C across a 8x axial refinement; energy exact)\n\n");
 }
 
-void bm_fvm_by_grid(benchmark::State& state) {
-  fc::FvmSettings settings;
-  settings.transverse_cells = static_cast<int>(state.range(0));
-  settings.axial_steps = static_cast<int>(state.range(0)) * 5 / 3;
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry(), settings);
-  fc::ChannelOperatingConditions cond;
-  cond.volumetric_flow_m3_per_s = 60e-9 / 60.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_at_voltage(0.9, cond));
-  }
-}
-BENCHMARK(bm_fvm_by_grid)->Arg(40)->Arg(120)->Arg(240)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

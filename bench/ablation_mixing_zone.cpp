@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/colaminar_fvm.h"
@@ -91,25 +89,9 @@ void print_reproduction() {
       "membrane-less design of Fig. 2 holds across the whole Fig. 3 flow range.\n\n");
 }
 
-void bm_fine_grid_solve(benchmark::State& state) {
-  fc::FvmSettings fine;
-  fine.transverse_cells = 240;
-  fine.axial_steps = 200;
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry(), fine);
-  fc::ChannelOperatingConditions cond;
-  cond.volumetric_flow_m3_per_s = 60e-9 / 60.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_at_voltage(1.35, cond));
-  }
-}
-BENCHMARK(bm_fine_grid_solve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/reservoir.h"
 #include "electrochem/vanadium.h"
@@ -58,31 +56,9 @@ void print_reproduction() {
               "independent axes — a liter-scale tank already buys hours of cache supply.\n\n");
 }
 
-void bm_soc_chemistry(benchmark::State& state) {
-  ec::ReservoirSpec spec;
-  spec.chemistry = ec::power7_array_chemistry();
-  const ec::ElectrolyteReservoir reservoir(spec, 0.9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reservoir.chemistry_at(0.5));
-  }
-}
-BENCHMARK(bm_soc_chemistry)->Unit(benchmark::kNanosecond);
-
-void bm_energy_integral(benchmark::State& state) {
-  ec::ReservoirSpec spec;
-  spec.chemistry = ec::power7_array_chemistry();
-  const ec::ElectrolyteReservoir reservoir(spec, 0.95);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reservoir.ideal_energy_to_floor_j(0.05));
-  }
-}
-BENCHMARK(bm_energy_integral)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

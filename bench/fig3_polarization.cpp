@@ -5,13 +5,10 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/nernst.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/colaminar_fvm.h"
-#include "flowcell/polarization.h"
 #include "flowcell/reference_data.h"
 #include "repro/figures.h"
 
@@ -29,7 +26,8 @@ fc::ChannelOperatingConditions conditions_for(double ul_per_min) {
   return c;
 }
 
-void print_reproduction() {
+/// Prints the reproduction; true when every paper verdict reads YES.
+bool print_reproduction() {
   const auto geometry = fc::kjeang2007_geometry();
   const auto chemistry = ec::kjeang2007_validation_chemistry();
   const fc::ColaminarChannelModel model(geometry, chemistry);
@@ -89,7 +87,8 @@ void print_reproduction() {
       "\nmax |error| across all curves: %.1f %% (at %.1f uL/min)"
       "  [paper claim: within 10 %%]\n",
       worst_error_pct, worst_flow);
-  std::printf("reproduced: %s\n", re::fig3_worst_error_pct(fig3) < 10.0 ? "YES" : "NO");
+  const bool reproduced = re::fig3_worst_error_pct(fig3) < 10.0;
+  std::printf("reproduced: %s\n", reproduced ? "YES" : "NO");
 
   // CSV artifact: dense model curves for plotting against the reference.
   const std::string path = brightsi::core::write_results_file(
@@ -108,34 +107,9 @@ void print_reproduction() {
     std::printf("series written to %s\n", path.c_str());
   }
   std::printf("\n");
+  return reproduced;
 }
-
-void bm_channel_solve(benchmark::State& state) {
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry());
-  const auto cond = conditions_for(60.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_at_voltage(0.9, cond));
-  }
-}
-BENCHMARK(bm_channel_solve)->Unit(benchmark::kMillisecond);
-
-void bm_polarization_sweep(benchmark::State& state) {
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry());
-  const auto cond = conditions_for(60.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fc::sweep_polarization(model, cond, 0.3, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(bm_polarization_sweep)->Arg(10)->Arg(25)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return print_reproduction() ? 0 : 1; }

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/cell_array.h"
@@ -19,7 +17,8 @@ using brightsi::core::TextTable;
 
 namespace {
 
-void print_reproduction() {
+/// Prints the reproduction; true when every paper verdict reads YES.
+bool print_reproduction() {
   const auto spec = fc::power7_array_spec();
   const auto chemistry = ec::power7_array_chemistry();
   const fc::FlowCellArray array(spec, chemistry);
@@ -53,8 +52,8 @@ void print_reproduction() {
   std::printf("\ncurrent at 1.0 V: %.2f A  [paper: 6 A; cache rail demand: 5 A]\n", i_at_1v);
   std::printf("power density at 1.0 V: %.3f W/cm2  [paper cites 0.7 W/cm2 state of the art]\n",
               i_at_1v * 1.0 / area_cm2);
-  std::printf("reproduced (6 A +/- 10%%, >= 5 A rail): %s\n",
-              (std::abs(i_at_1v - 6.0) < 0.6 && i_at_1v >= 5.0) ? "YES" : "NO");
+  const bool reproduced = std::abs(i_at_1v - 6.0) < 0.6 && i_at_1v >= 5.0;
+  std::printf("reproduced (6 A +/- 10%%, >= 5 A rail): %s\n", reproduced ? "YES" : "NO");
 
   const std::string path = brightsi::core::write_results_file(
       "fig7_array_vi.csv", [&](std::ostream& os) {
@@ -68,29 +67,9 @@ void print_reproduction() {
     std::printf("series written to %s\n", path.c_str());
   }
   std::printf("\n");
+  return reproduced;
 }
-
-void bm_array_current(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.current_at_voltage(1.0));
-  }
-}
-BENCHMARK(bm_array_current)->Unit(benchmark::kMicrosecond);
-
-void bm_array_voltage_solve(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.voltage_at_current(6.0));
-  }
-}
-BENCHMARK(bm_array_voltage_solve)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return print_reproduction() ? 0 : 1; }

@@ -7,12 +7,11 @@
 // Prints a human-readable summary and writes BENCH_fleet.json (schema in
 // docs/BENCHMARKS.md): rack shape, per-chip segment inlet temperatures
 // (rising along every serial loop segment) and steady racks/s. An optional
-// first argument overrides the JSON path; the rest go to Google Benchmark.
+// argument overrides the JSON path.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
-
-#include <benchmark/benchmark.h>
 
 #include "core/system_config.h"
 #include "fleet/rack.h"
@@ -40,18 +39,14 @@ fl::RackSpec bench_rack() {
   return rack;
 }
 
-void bm_fleet_steady(benchmark::State& state) {
-  const fl::RackSpec rack = bench_rack();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fl::solve_rack_steady(rack));
-  }
-}
-BENCHMARK(bm_fleet_steady)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_fleet.json");
+  const std::optional<std::string> json_path =
+      bh::json_path_argument(argc, argv, "BENCH_fleet.json");
+  if (!json_path) {
+    return 2;
+  }
   const fl::RackSpec rack = bench_rack();
 
   std::printf("== fleet throughput: %d chips, %d loops x %d serial segments,"
@@ -89,9 +84,5 @@ int main(int argc, char** argv) {
   json.set("steady.peak_t_c", last.peak_temperature_k - 273.15);
   json.set("steady.pump_w", last.pump_power_w);
   json.set("steady.fluid_heat_w", last.heat_absorbed_w);
-  const bool wrote = json.write(json_path);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return wrote ? 0 : 1;
+  return json.write(*json_path) ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,28 +49,20 @@ Repeats repeat_until_stable(Unit&& unit, Record&& record) {
   return repeats;
 }
 
-/// The JSON output path: the first argument when it is not a flag, removed
-/// from argv so the rest can go to Google Benchmark; otherwise `fallback`.
-inline std::string take_json_path(int& argc, char** argv, const char* fallback) {
-  if (argc < 2 || std::strncmp(argv[1], "--", 2) == 0) {
+/// The JSON output path: the program's one optional argument, or
+/// `fallback` without one. Empty, after naming the offending argument on
+/// stderr, when the argument is a flag or a second argument follows.
+inline std::optional<std::string> json_path_argument(int argc, char** argv,
+                                                     const char* fallback) {
+  if (argc < 2) {
     return fallback;
   }
-  std::string path = argv[1];
-  for (int i = 1; i + 1 < argc; ++i) {
-    argv[i] = argv[i + 1];
+  const bool flag = std::strncmp(argv[1], "--", 2) == 0;
+  if (!flag && argc == 2) {
+    return argv[1];
   }
-  --argc;
-  return path;
-}
-
-/// For programs without Google Benchmark timers: false, after naming the
-/// argument on stderr, when anything is left after take_json_path.
-inline bool no_arguments_left(int argc, char** argv) {
-  if (argc > 1) {
-    std::fprintf(stderr, "error: unknown argument '%s'\n", argv[1]);
-    return false;
-  }
-  return true;
+  std::fprintf(stderr, "error: unknown argument '%s'\n", flag ? argv[1] : argv[2]);
+  return std::nullopt;
 }
 
 /// A flat JSON object with one `"dotted.name": number` line per field, in

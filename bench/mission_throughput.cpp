@@ -7,8 +7,9 @@
 // mission_store workload (perfbench/README.md).
 //
 // Prints a human-readable summary and writes BENCH_mission.json (schema in
-// docs/BENCHMARKS.md). An optional first argument overrides the JSON path.
+// docs/BENCHMARKS.md). An optional argument overrides the JSON path.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "chip/power7.h"
@@ -91,8 +92,9 @@ void add_engine_fields(bh::FlatJson& json, const std::string& prefix,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_mission.json");
-  if (!bh::no_arguments_left(argc, argv)) {
+  const std::optional<std::string> json_path =
+      bh::json_path_argument(argc, argv, "BENCH_mission.json");
+  if (!json_path) {
     return 2;
   }
 
@@ -112,5 +114,5 @@ int main(int argc, char** argv) {
   add_engine_fields(json, "endurance_engine.full.", full);
   add_engine_fields(json, "endurance_engine.rom.", rom);
   json.set("endurance_engine.speedup_rom_over_full", speedup);
-  return json.write(json_path) ? 0 : 1;
+  return json.write(*json_path) ? 0 : 1;
 }

@@ -6,54 +6,26 @@
 // perfbench's opt_stack_pareto workload (perfbench/README.md).
 //
 // Prints a human-readable summary and writes BENCH_opt.json (schema in
-// docs/BENCHMARKS.md). An optional first argument overrides the JSON path;
-// the rest go to Google Benchmark.
+// docs/BENCHMARKS.md). An optional argument overrides the JSON path.
 #include <cstdio>
+#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "harness.h"
 #include "opt/studies.h"
-#include "sweep/execution.h"
 
 namespace bh = brightsi::bench;
 namespace op = brightsi::opt;
 namespace sw = brightsi::sweep;
 
-namespace {
-
 constexpr int kBudget = 48;
 
-void bm_batch_generation(benchmark::State& state) {
-  const op::Study study = op::make_registered_study("channel_geometry");
-  const auto backend = sw::make_local_backend({static_cast<int>(state.range(0)), true});
-  // One axis generation: 8 flow candidates around the center point.
-  std::vector<sw::ScenarioSpec> candidates;
-  for (int i = 0; i < 8; ++i) {
-    sw::ScenarioSpec spec;
-    spec.name = "candidate " + std::to_string(i);
-    spec.set("channel_gap_um", 250.0);
-    spec.set("channel_height_um", 500.0);
-    spec.set("flow_ml_min", 100.0 + 200.0 * i);
-    spec.set("inlet_c", 40.0);
-    candidates.push_back(std::move(spec));
-  }
-  std::vector<sw::ScenarioResult> rows;
-  for (auto _ : state) {
-    backend->execute(study.base, study.evaluator, candidates, rows);
-    benchmark::DoNotOptimize(rows.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(candidates.size()));
-}
-BENCHMARK(bm_batch_generation)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_opt.json");
+  const std::optional<std::string> json_path =
+      bh::json_path_argument(argc, argv, "BENCH_opt.json");
+  if (!json_path) {
+    return 2;
+  }
   const op::Study study = op::make_registered_study("channel_geometry");
   op::OptimizerOptions options;
   options.budget = kBudget;
@@ -92,9 +64,5 @@ int main(int argc, char** argv) {
   json.set("refinement_passes", result.passes);
   json.set("best_net_w", best_net_w);
   json.set("best_peak_t_c", best_peak_t_c);
-  const bool wrote = json.write(json_path);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return wrote ? 0 : 1;
+  return json.write(*json_path) ? 0 : 1;
 }

@@ -9,8 +9,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/cell_array.h"
@@ -24,7 +22,8 @@ using brightsi::core::TextTable;
 
 namespace {
 
-void print_reproduction() {
+/// Prints the reproduction; true when every paper verdict reads YES.
+bool print_reproduction() {
   const auto spec = fc::power7_array_spec();
   const fc::FlowCellArray array(spec, ec::power7_array_chemistry());
   const auto h = array.hydraulics_at_spec_flow();
@@ -58,9 +57,10 @@ void print_reproduction() {
                  "W"});
   table.print(std::cout);
 
+  const bool model_positive = generated > pump_model;
+  const bool paper_positive = generated > paper_pump_w;
   std::printf("\nenergy-balance shape (generation > pumping): model %s, paper-dp variant %s\n",
-              generated > pump_model ? "YES" : "NO",
-              generated > paper_pump_w ? "YES" : "NO");
+              model_positive ? "YES" : "NO", paper_positive ? "YES" : "NO");
 
   // Flow sweep: where would pumping eat the generation? Printed from the
   // shared figure table (repro/figures.h) pinned by tests/golden/pumping.csv
@@ -75,32 +75,9 @@ void print_reproduction() {
   }
   sweep.print(std::cout);
   std::printf("\n");
+  return model_positive && paper_positive;
 }
-
-void bm_hydraulics_eval(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.hydraulics_at_spec_flow());
-  }
-}
-BENCHMARK(bm_hydraulics_eval)->Unit(benchmark::kNanosecond);
-
-void bm_net_power_point(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    const auto h = array.hydraulics_at_spec_flow();
-    const double pump = hy::pumping_power_w(
-        h.pressure_drop_pa, fc::power7_array_spec().total_flow_m3_per_s, 0.5);
-    benchmark::DoNotOptimize(array.current_at_voltage(1.0) - pump);
-  }
-}
-BENCHMARK(bm_net_power_point)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return print_reproduction() ? 0 : 1; }

@@ -8,8 +8,9 @@
 // (perfbench/README.md).
 //
 // Prints a human-readable summary and writes BENCH_stack3d.json (schema in
-// docs/BENCHMARKS.md). An optional first argument overrides the JSON path.
+// docs/BENCHMARKS.md). An optional argument overrides the JSON path.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "chip/power7.h"
@@ -104,8 +105,9 @@ void add_measurement_fields(bh::FlatJson& json, const std::string& prefix,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bh::take_json_path(argc, argv, "BENCH_stack3d.json");
-  if (!bh::no_arguments_left(argc, argv)) {
+  const std::optional<std::string> json_path =
+      bh::json_path_argument(argc, argv, "BENCH_stack3d.json");
+  if (!json_path) {
     return 2;
   }
 
@@ -127,5 +129,5 @@ int main(int argc, char** argv) {
   add_measurement_fields(json, "tall_stack.mg.", mg);
   json.set("tall_stack.iteration_ratio_ilu0_over_mg", iteration_ratio);
   json.set("tall_stack.thermal_time_speedup_ilu0_over_mg", thermal_time_speedup);
-  return json.write(json_path) ? 0 : 1;
+  return json.write(*json_path) ? 0 : 1;
 }

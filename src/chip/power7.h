@@ -11,8 +11,8 @@
 //   * an L2+L3 cache rail that draws 5 A at 1 V (Section III-A). The
 //     reconstruction's cache area is 2.46 cm^2, so the default cache
 //     density is 5 W / 2.46 cm^2 = 2.03 W/cm^2; the literal 1 W/cm^2 the
-//     paper quotes (which with any realistic cache area yields < 3 A — see
-//     DESIGN.md "known inconsistencies") is available as
+//     paper quotes (which with any realistic cache area yields < 3 A, not
+//     the 5 A of the rail) is available as
 //     `kPaperNominalCacheDensityWPerCm2`.
 #ifndef BRIGHTSI_CHIP_POWER7_H
 #define BRIGHTSI_CHIP_POWER7_H

@@ -7,7 +7,7 @@
 // (a) the die below a temperature limit and (b) the supervised rail above
 // its droop limit. Comparing the integrated microfluidic package against a
 // conventional air-cooled, edge-fed package yields the bright-vs-dark
-// ablation (EXPERIMENTS.md E10).
+// ablation (bench/ablation_bright_dark.cpp, E10).
 #ifndef BRIGHTSI_CORE_THROTTLING_H
 #define BRIGHTSI_CORE_THROTTLING_H
 

@@ -3,7 +3,7 @@
 // microchannel array, parameters from Rapp 2012 / Al-Fetlawi 2009).
 //
 // Two parameters the paper does not tabulate are required to close the
-// model and are calibrated here (documented in DESIGN.md §2):
+// model and are calibrated here:
 //   * ionic conductivity of the supporting electrolyte (ohmic overvoltage) —
 //     literature values for vanadium in 2–4 M H2SO4 span 25–80 S/m;
 //   * Arrhenius activation energies of k0 and D — taken from Al-Fetlawi

@@ -38,7 +38,8 @@ CellGeometry power7_channel_geometry() {
   g.channel_height_m = 400e-6;
   g.channel_length_m = 22e-3;
   // Porous flow-through electrodes along the channel walls: required to
-  // reach the Fig. 7 current levels (see EXPERIMENTS.md E3 discussion).
+  // reach the Fig. 7 current levels; planar walls are transport-limited
+  // far below them.
   g.electrode_mode = ElectrodeMode::kFlowThrough;
   g.electrode_area_factor = 1.0;        // kinetics on the projected-area basis
   g.series_resistance_ohm_m2 = 3.15e-5; // collector network, calibrated to 6 A @ 1 V

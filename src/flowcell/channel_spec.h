@@ -24,9 +24,9 @@ enum class ElectrodeMode {
   /// Porous flow-through electrodes: the stream passes through the
   /// electrode volume, so transport is utilization-limited instead of
   /// boundary-layer-limited. This is the only electrode construction that
-  /// reaches the paper's Fig. 7 array magnitudes (tens of amperes; see
-  /// EXPERIMENTS.md discussion) and matches the high-power flow-through
-  /// literature the paper cites ([15], Lee et al. 2013).
+  /// reaches the paper's Fig. 7 array magnitudes (tens of amperes) and
+  /// matches the high-power flow-through literature the paper cites ([15],
+  /// Lee et al. 2013).
   kFlowThrough,
 };
 
@@ -69,7 +69,7 @@ struct CellGeometry {
 /// Paper Table I validation-cell geometry (Kjeang 2007): 33 mm x 2 mm x
 /// 150 um. The area factor accounts for the cylindrical graphite-rod
 /// electrodes exposing more surface than a flat 150 um side wall
-/// (calibrated; see DESIGN.md substitutions).
+/// (calibrated against the Fig. 3 reference curves).
 [[nodiscard]] CellGeometry kjeang2007_geometry();
 
 /// Paper Table II array-channel geometry: 22 mm long, 200 um electrode gap,

@@ -1,6 +1,6 @@
 // Depth-averaged finite-volume model of a co-laminar redox flow cell.
 //
-// This is the project's COMSOL replacement (DESIGN.md substitution table).
+// This stands in for the paper's COMSOL model.
 // The 3-D steady problem (Navier-Stokes + Nernst-Planck + Butler-Volmer,
 // paper eqs. 6-12) reduces, at the channel Peclet numbers of the paper, to
 // a parabolic transport problem marched along the flow direction:

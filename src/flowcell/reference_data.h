@@ -9,7 +9,6 @@
 // (Table I parameters). Digitization precision is limited; the validation
 // bench therefore reports per-point model-vs-reference errors exactly like
 // the paper's "within 10 %" claim rather than asserting point equality.
-// See DESIGN.md, substitution table.
 #ifndef BRIGHTSI_FLOWCELL_REFERENCE_DATA_H
 #define BRIGHTSI_FLOWCELL_REFERENCE_DATA_H
 

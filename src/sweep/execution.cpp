@@ -158,10 +158,6 @@ class ShardBackend final : public ExecutionBackend {
         rows[i].metrics.assign(evaluator.metrics.size(), 0.0);
         pending.fetch_add(1);
       };
-      if (!mine && !options_.steal_orphaned_leases) {
-        leave_pending("owned by shard " + std::to_string(owner));
-        return;
-      }
       if (options_.row_limit >= 0 && reserved.fetch_add(1) >= options_.row_limit) {
         leave_pending("row limit reached");
         return;

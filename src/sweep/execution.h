@@ -66,9 +66,6 @@ struct ShardOptions {
   /// injection: simulates a killed sweep for resume tests without
   /// touching signal handling.
   long long row_limit = -1;
-  /// Take over other shards' rows whose lease is orphaned. Rows another
-  /// shard has simply not started stay pending for their owner either way.
-  bool steal_orphaned_leases = true;
   SweepOptions local;           ///< the worker pool under the shard logic
 };
 

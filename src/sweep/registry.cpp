@@ -6,16 +6,16 @@ namespace brightsi::sweep {
 
 namespace {
 
-/// bench/ablation_geometry as data: the Section IV outlook sweep of channel
-/// dimensions, flow rate and inlet temperature, evaluated at the isothermal
-/// 1 V design point.
+/// E9, the Section IV outlook: "assessment of the power density as function
+/// of channel dimensions, flow rate and temperature", evaluated at the
+/// isothermal 1 V design point with the pumping cost of each design.
 SweepPlan geometry_plan() {
   SweepPlan plan;
   plan.name = "ablation_geometry";
   plan.base = core::power7_system_config();
   plan.evaluator = array_power_evaluator();
-  // The bench's explicit design points: every scenario pins all four knobs
-  // so rows are self-describing.
+  // Explicit design points: every scenario pins all four knobs so rows are
+  // self-describing.
   auto point = [&](double gap_um, double height_um, double flow_ml_min, double inlet_c) {
     ScenarioSpec scenario;
     scenario.name = "gap=" + format_value(gap_um) + " h=" + format_value(height_um) +
@@ -62,7 +62,7 @@ SweepPlan temperature_plan() {
   return plan;
 }
 
-/// bench/ablation_vrm_placement as data: distributed tap grids vs the
+/// E12, the Section III-A VRM design space: distributed tap grids vs the
 /// edge-fed baseline vs output resistance, on the cache rail.
 SweepPlan vrm_placement_plan() {
   SweepPlan plan;
@@ -205,11 +205,11 @@ SweepPlan fleet_mission_plan() {
 const std::vector<PlanDescription>& registered_plans() {
   static const std::vector<PlanDescription> plans = {
       {"ablation_geometry",
-       "channel gap/height, flow and inlet-T vs deliverable power density (bench E9)"},
+       "channel gap/height, flow and inlet-T vs deliverable power density (E9)"},
       {"temp_sensitivity",
        "co-simulated thermal feedback on the generated power (bench E8)"},
       {"ablation_vrm_placement",
-       "VRM count/placement/resistance vs cache-rail integrity (bench E12)"},
+       "VRM count/placement/resistance vs cache-rail integrity (E12)"},
       {"operating_grid",
        "co-simulated flow x inlet-temperature operating grid (3x3)"},
       {"mission_endurance",

@@ -1,7 +1,8 @@
-// Named, ready-to-run sweep plans. The first three re-express existing
-// one-off bench mains (ablation_geometry, temp_sensitivity,
-// ablation_vrm_placement) as data: same design points, same metrics, but
-// runnable on every core through the SweepRunner.
+// Named, ready-to-run sweep plans, runnable on every core through the
+// SweepRunner. The first three are the paper's ablations as data:
+// ablation_geometry (E9) and ablation_vrm_placement (E12) are those
+// studies' only reproductions, and temp_sensitivity runs the coupled cases
+// of bench/temp_sensitivity (E8).
 #ifndef BRIGHTSI_SWEEP_REGISTRY_H
 #define BRIGHTSI_SWEEP_REGISTRY_H
 

@@ -1,5 +1,5 @@
 // Compact finite-volume thermal model of the die + microchannel package
-// (3D-ICE-style; DESIGN.md substitution table), generalized to N-layer 3D
+// (3D-ICE-style), generalized to N-layer 3D
 // stacks: any number of heat-source (die) layers, each with its own power
 // map, and any number of microchannel layers (interlayer cooling).
 //

@@ -541,14 +541,14 @@ TEST(ExecutionBackend, ShardedRunsMergeByteIdenticalAtAnyShardAndThreadCount) {
         options.scope = plan.name;
         options.shard_index = index;
         options.shard_count = shard_count;
-        options.steal_orphaned_leases = false;  // strict partition: no overlap
         options.local = {threads, true};
         const sw::SweepRunner runner(sw::make_shard_backend(options));
         const sw::SweepResult partial = runner.run(plan);
         EXPECT_EQ(partial.backend, "shard");
         evaluated += partial.exec.evaluated;
       }
-      // Strict partitioning: every row evaluated exactly once across shards.
+      // Strict partitioning: every row evaluated exactly once across shards,
+      // because a shard never claims a foreign row that has no lease.
       EXPECT_EQ(evaluated, 8) << shard_count << " shards, " << threads << " threads";
       const sw::SweepResult merged = sw::assemble_from_store(plan, dir);
       EXPECT_EQ(csv_of(merged), reference)
@@ -559,10 +559,9 @@ TEST(ExecutionBackend, ShardedRunsMergeByteIdenticalAtAnyShardAndThreadCount) {
 }
 
 TEST(ExecutionBackend, SequentialShardsStealNothingButFinishEverything) {
-  // With steal enabled (the default), a later shard takes over rows whose
-  // owner never ran — here shard 1 runs first, so it leaves shard 0's rows
-  // pending (their leases were never created, nothing to steal), then
-  // shard 0 completes the store.
+  // A shard takes over a foreign row only when its lease is orphaned. Here
+  // shard 1 runs first, so it leaves shard 0's rows pending (their leases
+  // were never created, nothing to steal), then shard 0 completes the store.
   const sw::SweepPlan plan = small_array_grid();
   const std::string dir = temp_dir("steal_pending");
 

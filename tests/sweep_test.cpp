@@ -154,7 +154,7 @@ TEST(SweepRunner, SingleScenarioMatchesDirectArrayEvaluation) {
   ASSERT_EQ(result.rows.size(), 1u);
   ASSERT_FALSE(result.rows[0].failed);
 
-  // Direct evaluation, the way bench/ablation_geometry does it.
+  // Direct evaluation: the array current at 1 V and its pumping cost.
   auto spec = plan.base.array_spec;
   spec.total_flow_m3_per_s = 200.0 * 1e-6 / 60.0;
   const fc::FlowCellArray array(spec, plan.base.chemistry, plan.base.fvm);
@@ -226,7 +226,7 @@ TEST(SweepRunner, FailedScenarioBecomesARowNotAnAbort) {
   EXPECT_EQ(result.failure_count(), 1);
 }
 
-TEST(SweepRegistry, PlansValidateAndMatchTheBenches) {
+TEST(SweepRegistry, PlansValidateAndCarryTheirDesignPoints) {
   for (const sw::PlanDescription& description : sw::registered_plans()) {
     const sw::SweepPlan plan = sw::make_registered_plan(description.name);
     EXPECT_EQ(plan.name, description.name);
@@ -234,7 +234,7 @@ TEST(SweepRegistry, PlansValidateAndMatchTheBenches) {
     EXPECT_FALSE(plan.scenarios.empty()) << description.name;
   }
   EXPECT_THROW((void)sw::make_registered_plan("nope"), std::invalid_argument);
-  // The geometry plan carries the bench's 14 design points.
+  // The E9 geometry plan carries 14 design points, the E12 VRM plan 12.
   EXPECT_EQ(sw::make_registered_plan("ablation_geometry").scenarios.size(), 14u);
   EXPECT_EQ(sw::make_registered_plan("ablation_vrm_placement").scenarios.size(), 12u);
   EXPECT_EQ(sw::make_registered_plan("temp_sensitivity").scenarios.size(), 3u);

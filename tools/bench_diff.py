@@ -11,10 +11,11 @@ CI's python3 runs.
 Usage:
     tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 
-Regression direction is inferred from the field name: fields matching
-*_per_s / *speedup* are better-larger; fields matching *_s / *_ms /
-*_s_per_* / *iterations* / *fraction* / *bound_k* are better-smaller;
-anything else is informational only (printed, never failing). See
+Regression direction is inferred from the field name (_DIRECTION_RULES):
+names containing _s_per_step, _s_per_run, _ms, wall_s, _time_s or
+iterations are better-smaller; names containing _per_s or speedup are
+better-larger; anything else (counts, fractions, bounds, shape anchors,
+other *_s times) is informational only (printed, never failing). See
 docs/BENCHMARKS.md.
 """
 
@@ -22,13 +23,14 @@ import argparse
 import json
 import sys
 
-# (suffix/substring, better) rules, first match wins. "larger"/"smaller"
-# fields gate the exit status; None = informational.
+# (substring, better) rules, first match wins. "larger"/"smaller" fields
+# gate the exit status; None = informational. The per-unit times come
+# first because "_s_per_step" contains "_per_s".
 _DIRECTION_RULES = [
-    ("_per_s", "larger"),
-    ("speedup", "larger"),
     ("_s_per_step", "smaller"),
     ("_s_per_run", "smaller"),
+    ("_per_s", "larger"),
+    ("speedup", "larger"),
     ("_ms", "smaller"),
     ("wall_s", "smaller"),
     ("_time_s", "smaller"),
