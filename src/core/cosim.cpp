@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/bus_solve.h"
 #include "electrochem/constants.h"
 #include "hydraulics/pump.h"
 #include "numerics/contracts.h"
-#include "numerics/root_finding.h"
 
 namespace brightsi::core {
 
@@ -110,39 +110,15 @@ SupplyOperatingPoint IntegratedMpsocSystem::solve_supply(
   const double input_power = vrm_output_power_w / config_.vrm_spec.efficiency;
   op.vrm_loss_w = input_power - vrm_output_power_w;
 
-  const double ocv = array_->open_circuit_voltage();
-
-  // The stable operating point is the highest bus voltage where the array
-  // sources the VRM input power: P_array(V) = V * I_array(V) rises from 0
-  // at OCV as V decreases; find the first crossing with input_power.
-  auto surplus = [&](double v) {
-    return v * array_current_with_profiles(v, group_profiles) - input_power;
-  };
-
-  const double v_hi = ocv - 1e-3;
-  if (surplus(v_hi) >= 0.0) {
-    op.bus_voltage_v = v_hi;  // demand met at (essentially) open circuit
-  } else {
-    // Scan downward for a bracketing voltage (the maximum-power point of
-    // the array bounds the search).
-    double v_lo = v_hi;
-    bool bracketed = false;
-    for (double v = v_hi - 0.05; v >= 0.2; v -= 0.05) {
-      if (surplus(v) >= 0.0) {
-        v_lo = v;
-        bracketed = true;
-        break;
-      }
-    }
-    if (!bracketed) {
-      op.feasible = false;
-      return op;  // array cannot deliver this power at any sane voltage
-    }
-    const auto root = numerics::find_root_brent(surplus, v_lo, v_hi, 1e-5,
-                                                1e-3 * std::max(input_power, 1.0), 64);
-    op.bus_voltage_v = root.root;
+  const BusSolution bus = solve_constant_power_bus(
+      [&](double v) { return array_current_with_profiles(v, group_profiles); },
+      array_->open_circuit_voltage() - 1e-3, 0.2, input_power,
+      1e-3 * std::max(input_power, 1.0));
+  if (!bus.found) {
+    return op;  // infeasible: the array cannot deliver this power
   }
-  op.array_current_a = array_current_with_profiles(op.bus_voltage_v, group_profiles);
+  op.bus_voltage_v = bus.voltage_v;
+  op.array_current_a = bus.current_a;
   op.array_power_w = op.bus_voltage_v * op.array_current_a;
   op.feasible = true;
   op.vrm_window_ok = op.bus_voltage_v >= config_.vrm_spec.min_input_voltage_v &&

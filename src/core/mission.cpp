@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "core/binfile.h"
+#include "core/bus_solve.h"
 #include "electrochem/constants.h"
 #include "flowcell/cell_array.h"
 #include "numerics/contracts.h"
-#include "numerics/root_finding.h"
 #include "pdn/vrm.h"
 #include "thermal/transient.h"
 
@@ -48,31 +48,19 @@ BusPoint solve_bus(const fc::FlowCellArray& array, const pdn::VrmSpec& vrm,
   const double input_power = rail_power_w / vrm.efficiency;
   const double ocv = array.open_circuit_voltage();
 
-  auto surplus = [&](double v) {
-    return v * array.current_at_voltage(v, profile) - input_power;
-  };
   BusPoint point;
   const double v_hi = ocv - 1e-3;
   if (v_hi <= 0.3) {
     return point;  // reservoir effectively dead
   }
-  if (surplus(v_hi) >= 0.0) {
-    point.voltage_v = v_hi;
-  } else {
-    double v_lo = 0.0;
-    for (double v = v_hi - 0.05; v >= 0.3; v -= 0.05) {
-      if (surplus(v) >= 0.0) {
-        v_lo = v;
-        break;
-      }
-    }
-    if (v_lo == 0.0) {
-      return point;  // demand exceeds capability
-    }
-    point.voltage_v =
-        numerics::find_root_brent(surplus, v_lo, v_hi, 1e-5, 1e-3 * input_power, 64).root;
+  const BusSolution bus = solve_constant_power_bus(
+      [&](double v) { return array.current_at_voltage(v, profile); }, v_hi, 0.3, input_power,
+      1e-3 * input_power);
+  if (!bus.found) {
+    return point;  // demand exceeds capability
   }
-  point.current_a = array.current_at_voltage(point.voltage_v, profile);
+  point.voltage_v = bus.voltage_v;
+  point.current_a = bus.current_a;
   point.ok = point.voltage_v >= vrm.min_input_voltage_v &&
              point.voltage_v <= vrm.max_input_voltage_v;
   return point;

@@ -17,84 +17,70 @@ namespace ec = brightsi::electrochem;
 constexpr double kFloor = ec::kConcentrationFloorMolPerM3;
 constexpr double kBracketSafety = 0.999;
 
-/// Everything needed to evaluate V_model(i_total) at one station.
-struct StationModel {
-  const ClosureParameters& p;
-  const WallConcentrations& w;
-  double n_f;  // n F (single-electron couples here, n = 1)
+/// Everything needed to evaluate V_model(i_total) at one station. The
+/// floored bulk concentrations and both Nernst potentials depend only on
+/// the station, so they are computed once here, not at every Brent
+/// evaluation.
+class StationModel {
+ public:
+  StationModel(const ClosureParameters& p, const WallConcentrations& w, double n_f)
+      : p_(p),
+        w_(w),
+        n_f_(n_f),
+        an_red_b_(std::max(w.anode_reduced, kFloor)),
+        an_ox_b_(std::max(w.anode_oxidized, kFloor)),
+        cat_ox_b_(std::max(w.cathode_oxidized, kFloor)),
+        cat_red_b_(std::max(w.cathode_reduced, kFloor)),
+        e_an_(ec::nernst_potential({"", p.anode_standard_potential_v, 1, p.anode_alpha},
+                                   an_ox_b_, an_red_b_, p.temperature_k)),
+        e_cat_(ec::nernst_potential({"", p.cathode_standard_potential_v, 1, p.cathode_alpha},
+                                    cat_ox_b_, cat_red_b_, p.temperature_k)) {}
 
   [[nodiscard]] double cell_voltage_at(double i_total) const {
-    // Surface concentrations from the wall flux balance.
-    const double d_an = i_total / (n_f * p.anode_wall_mass_transfer_m_per_s);
-    const double d_cat = i_total / (n_f * p.cathode_wall_mass_transfer_m_per_s);
-    const double an_red_s = std::max(w.anode_reduced - d_an, kFloor);
-    const double an_ox_s = std::max(w.anode_oxidized + d_an, kFloor);
-    const double cat_ox_s = std::max(w.cathode_oxidized - d_cat, kFloor);
-    const double cat_red_s = std::max(w.cathode_reduced + d_cat, kFloor);
+    double eta_an;
+    double eta_cat;
+    overpotentials(i_total, &eta_an, &eta_cat);
+    return (e_cat_ + eta_cat) - (e_an_ + eta_an) -
+           i_total * p_.area_specific_resistance_ohm_m2;
+  }
 
-    const double an_red_b = std::max(w.anode_reduced, kFloor);
-    const double an_ox_b = std::max(w.anode_oxidized, kFloor);
-    const double cat_ox_b = std::max(w.cathode_oxidized, kFloor);
-    const double cat_red_b = std::max(w.cathode_reduced, kFloor);
+  /// Nernst open-circuit voltage at the wall concentrations.
+  [[nodiscard]] double local_open_circuit_v() const { return e_cat_ - e_an_; }
+
+  void overpotentials(double i_total, double* eta_an, double* eta_cat) const {
+    // Surface concentrations from the wall flux balance.
+    const double d_an = i_total / (n_f_ * p_.anode_wall_mass_transfer_m_per_s);
+    const double d_cat = i_total / (n_f_ * p_.cathode_wall_mass_transfer_m_per_s);
 
     // Anode runs anodically at +i_total.
     ec::ButlerVolmerState an_state;
-    an_state.exchange_current_density_a_per_m2 = p.anode_exchange_current_a_per_m2;
-    an_state.anodic_transfer_coefficient = p.anode_alpha;
-    an_state.temperature_k = p.temperature_k;
-    an_state.reduced_surface_ratio = an_red_s / an_red_b;
-    an_state.oxidized_surface_ratio = an_ox_s / an_ox_b;
-    const double eta_an = ec::overpotential_for_current(an_state, i_total);
+    an_state.exchange_current_density_a_per_m2 = p_.anode_exchange_current_a_per_m2;
+    an_state.anodic_transfer_coefficient = p_.anode_alpha;
+    an_state.temperature_k = p_.temperature_k;
+    an_state.reduced_surface_ratio = std::max(w_.anode_reduced - d_an, kFloor) / an_red_b_;
+    an_state.oxidized_surface_ratio = std::max(w_.anode_oxidized + d_an, kFloor) / an_ox_b_;
+    *eta_an = ec::overpotential_for_current(an_state, i_total);
 
     // Cathode runs cathodically at -i_total.
     ec::ButlerVolmerState cat_state;
-    cat_state.exchange_current_density_a_per_m2 = p.cathode_exchange_current_a_per_m2;
-    cat_state.anodic_transfer_coefficient = p.cathode_alpha;
-    cat_state.temperature_k = p.temperature_k;
-    cat_state.reduced_surface_ratio = cat_red_s / cat_red_b;
-    cat_state.oxidized_surface_ratio = cat_ox_s / cat_ox_b;
-    const double eta_cat = ec::overpotential_for_current(cat_state, -i_total);
-
-    const ec::RedoxCouple an_couple{"", p.anode_standard_potential_v, 1, p.anode_alpha};
-    const ec::RedoxCouple cat_couple{"", p.cathode_standard_potential_v, 1, p.cathode_alpha};
-    const double e_an = ec::nernst_potential(an_couple, an_ox_b, an_red_b, p.temperature_k);
-    const double e_cat = ec::nernst_potential(cat_couple, cat_ox_b, cat_red_b, p.temperature_k);
-
-    return (e_cat + eta_cat) - (e_an + eta_an) -
-           i_total * p.area_specific_resistance_ohm_m2;
-  }
-
-  void overpotentials(double i_total, double* eta_an, double* eta_cat,
-                      double* local_ocv) const {
-    // Re-evaluates the pieces for reporting (same algebra as above).
-    const double an_red_b = std::max(w.anode_reduced, kFloor);
-    const double an_ox_b = std::max(w.anode_oxidized, kFloor);
-    const double cat_ox_b = std::max(w.cathode_oxidized, kFloor);
-    const double cat_red_b = std::max(w.cathode_reduced, kFloor);
-    const ec::RedoxCouple an_couple{"", p.anode_standard_potential_v, 1, p.anode_alpha};
-    const ec::RedoxCouple cat_couple{"", p.cathode_standard_potential_v, 1, p.cathode_alpha};
-    const double e_an = ec::nernst_potential(an_couple, an_ox_b, an_red_b, p.temperature_k);
-    const double e_cat = ec::nernst_potential(cat_couple, cat_ox_b, cat_red_b, p.temperature_k);
-    *local_ocv = e_cat - e_an;
-
-    const double d_an = i_total / (n_f * p.anode_wall_mass_transfer_m_per_s);
-    const double d_cat = i_total / (n_f * p.cathode_wall_mass_transfer_m_per_s);
-    ec::ButlerVolmerState an_state;
-    an_state.exchange_current_density_a_per_m2 = p.anode_exchange_current_a_per_m2;
-    an_state.anodic_transfer_coefficient = p.anode_alpha;
-    an_state.temperature_k = p.temperature_k;
-    an_state.reduced_surface_ratio = std::max(w.anode_reduced - d_an, kFloor) / an_red_b;
-    an_state.oxidized_surface_ratio = std::max(w.anode_oxidized + d_an, kFloor) / an_ox_b;
-    *eta_an = ec::overpotential_for_current(an_state, i_total);
-
-    ec::ButlerVolmerState cat_state;
-    cat_state.exchange_current_density_a_per_m2 = p.cathode_exchange_current_a_per_m2;
-    cat_state.anodic_transfer_coefficient = p.cathode_alpha;
-    cat_state.temperature_k = p.temperature_k;
-    cat_state.oxidized_surface_ratio = std::max(w.cathode_oxidized - d_cat, kFloor) / cat_ox_b;
-    cat_state.reduced_surface_ratio = std::max(w.cathode_reduced + d_cat, kFloor) / cat_red_b;
+    cat_state.exchange_current_density_a_per_m2 = p_.cathode_exchange_current_a_per_m2;
+    cat_state.anodic_transfer_coefficient = p_.cathode_alpha;
+    cat_state.temperature_k = p_.temperature_k;
+    cat_state.reduced_surface_ratio = std::max(w_.cathode_reduced + d_cat, kFloor) / cat_red_b_;
+    cat_state.oxidized_surface_ratio = std::max(w_.cathode_oxidized - d_cat, kFloor) / cat_ox_b_;
     *eta_cat = ec::overpotential_for_current(cat_state, -i_total);
   }
+
+ private:
+  const ClosureParameters& p_;
+  const WallConcentrations& w_;
+  double n_f_;  // n F (single-electron couples here, n = 1)
+  double an_red_b_;
+  double an_ox_b_;
+  double cat_ox_b_;
+  double cat_red_b_;
+  double e_an_;
+  double e_cat_;
 };
 
 }  // namespace
@@ -165,7 +151,8 @@ ClosureResult solve_wall_current(const ClosureParameters& params, const WallConc
   result.total_current_density = i_solution;
   result.external_current_density = i_solution - p.parasitic_current_density_a_per_m2;
   floored.overpotentials(i_solution, &result.anode_overpotential_v,
-                         &result.cathode_overpotential_v, &result.local_open_circuit_v);
+                         &result.cathode_overpotential_v);
+  result.local_open_circuit_v = floored.local_open_circuit_v();
   return result;
 }
 

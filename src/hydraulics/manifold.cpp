@@ -1,6 +1,7 @@
 #include "hydraulics/manifold.h"
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "numerics/contracts.h"
@@ -21,8 +22,10 @@ GroupSplit solve_equal_pressure(double total_flow_m3_per_s,
                                 const std::vector<std::string>& names, const char* what) {
   double total_conductance = 0.0;
   for (const double g : conductances) {
-    ensure(std::isfinite(g) && g >= 0.0,
-           std::string(what) + ": conductance must be finite and non-negative");
+    if (!(std::isfinite(g) && g >= 0.0)) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": conductance must be finite and non-negative");
+    }
     total_conductance += g;
   }
   if (total_conductance <= 0.0) {

@@ -7,6 +7,8 @@
 #define BRIGHTSI_NUMERICS_GRID_H
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "numerics/contracts.h"
@@ -17,7 +19,9 @@ namespace detail {
 /// Validates grid dimensions before any allocation happens.
 inline std::size_t checked_cell_count(long long a, long long b, long long c,
                                       const char* what) {
-  ensure(a > 0 && b > 0 && c > 0, std::string(what) + " dimensions must be positive");
+  if (!(a > 0 && b > 0 && c > 0)) {
+    throw std::invalid_argument(std::string(what) + " dimensions must be positive");
+  }
   return static_cast<std::size_t>(a) * static_cast<std::size_t>(b) *
          static_cast<std::size_t>(c);
 }

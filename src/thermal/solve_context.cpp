@@ -23,10 +23,11 @@ void ThermalSolveContext::reset() { warm_ = false; }
 
 void ThermalSolveContext::check_floorplans(
     std::span<const chip::Floorplan* const> floorplans) const {
-  ensure(static_cast<int>(floorplans.size()) == model_->die_count(),
-         "thermal solve needs one floorplan per heat-source layer: got " +
-             std::to_string(floorplans.size()) + " for " +
-             std::to_string(model_->die_count()) + " dies");
+  if (static_cast<int>(floorplans.size()) != model_->die_count()) {
+    throw std::invalid_argument("thermal solve needs one floorplan per heat-source layer: got " +
+                                std::to_string(floorplans.size()) + " for " +
+                                std::to_string(model_->die_count()) + " dies");
+  }
   for (const chip::Floorplan* floorplan : floorplans) {
     ensure(floorplan != nullptr, "thermal solve: null floorplan");
     ensure(floorplan->die_width() == model_->die_width_m() &&

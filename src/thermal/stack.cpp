@@ -1,5 +1,8 @@
 #include "thermal/stack.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "numerics/contracts.h"
 
 namespace brightsi::thermal {

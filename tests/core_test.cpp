@@ -1,16 +1,23 @@
 // Tests of the integrated co-simulator, the throttling governor and the
 // reporting helpers.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bus_solve.h"
 #include "core/cosim.h"
 #include "core/report.h"
 #include "core/system_config.h"
 #include "core/throttling.h"
+#include "numerics/root_finding.h"
 
 namespace co = brightsi::core;
 namespace ch = brightsi::chip;
@@ -140,6 +147,107 @@ TEST(CoSim, InfeasibleWhenRailDemandExceedsArray) {
   co::IntegratedMpsocSystem system(config);
   const auto r = system.run();
   EXPECT_FALSE(r.supply.feasible);
+}
+
+// ---------------------------------------------------------------- bus solve
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The constant-power bus search without memoisation, as solve_supply and
+/// the mission's solve_bus each wrote it: Brent's bracket ends and the
+/// current at the root re-solve voltages the scan already solved.
+template <typename CurrentAt>
+co::BusSolution plain_bus_solve(CurrentAt&& current_at, double v_hi, double v_floor,
+                                double input_power, double power_tolerance) {
+  auto surplus = [&](double v) { return v * current_at(v) - input_power; };
+  co::BusSolution bus;
+  if (surplus(v_hi) >= 0.0) {
+    bus.voltage_v = v_hi;
+  } else {
+    double v_lo = v_hi;
+    bool bracketed = false;
+    for (double v = v_hi - 0.05; v >= v_floor; v -= 0.05) {
+      if (surplus(v) >= 0.0) {
+        v_lo = v;
+        bracketed = true;
+        break;
+      }
+    }
+    if (!bracketed) {
+      return bus;
+    }
+    bus.voltage_v =
+        brightsi::numerics::find_root_brent(surplus, v_lo, v_hi, 1e-5, power_tolerance, 64).root;
+  }
+  bus.current_a = current_at(bus.voltage_v);
+  bus.found = true;
+  return bus;
+}
+
+TEST(BusSolve, MemoisedSolveMatchesPlainFormulationBitwise) {
+  const co::IntegratedMpsocSystem system(fast_config());
+  const co::CoSimReport report = system.run();
+  const auto profiles = system.group_channel_profiles(report.thermal.channel_fluid_axial_k());
+  const std::vector<double> mission_profile = {300.0, 305.0, 310.0};
+  const double v_hi = system.array().open_circuit_voltage() - 1e-3;
+
+  // Solves the bus both ways on one array callable; the memoised search
+  // must return the same bits and solve each distinct voltage once, and
+  // the plain one re-solves exactly `resolved` voltages.
+  auto check = [&](const auto& current_at, double v_floor, double input_power,
+                   double power_tolerance, int resolved) {
+    int plain_solves = 0;
+    const co::BusSolution plain = plain_bus_solve(
+        [&](double v) {
+          ++plain_solves;
+          return current_at(v);
+        },
+        v_hi, v_floor, input_power, power_tolerance);
+    std::map<double, int> solves;  // voltage -> array solves
+    const co::BusSolution memo = co::solve_constant_power_bus(
+        [&](double v) {
+          ++solves[v];
+          return current_at(v);
+        },
+        v_hi, v_floor, input_power, power_tolerance);
+    EXPECT_EQ(memo.found, plain.found);
+    EXPECT_EQ(bits(memo.voltage_v), bits(plain.voltage_v));
+    EXPECT_EQ(bits(memo.current_a), bits(plain.current_a));
+    for (const auto& [voltage, count] : solves) {
+      EXPECT_EQ(count, 1) << "voltage " << voltage;
+    }
+    EXPECT_EQ(plain_solves - static_cast<int>(solves.size()), resolved);
+    return plain;
+  };
+
+  // The co-simulation's supply: the run's operating point is the plain
+  // search at the run's final profiles, field for field.
+  const co::SystemConfig& config = system.config();
+  const double rail_w = system.floorplan().cache_power();
+  const double input_w = rail_w / config.vrm_spec.efficiency;
+  const auto grouped_current = [&](double v) {
+    return system.array_current_with_profiles(v, profiles);
+  };
+  const co::BusSolution plain =
+      check(grouped_current, 0.2, input_w, 1e-3 * std::max(input_w, 1.0), 3);
+  ASSERT_TRUE(plain.found);
+  const co::SupplyOperatingPoint& supply = report.supply;
+  EXPECT_TRUE(supply.feasible);
+  EXPECT_EQ(bits(supply.bus_voltage_v), bits(plain.voltage_v));
+  EXPECT_EQ(bits(supply.array_current_a), bits(plain.current_a));
+  EXPECT_EQ(bits(supply.array_power_w), bits(plain.voltage_v * plain.current_a));
+  EXPECT_EQ(bits(supply.vrm_output_power_w), bits(rail_w));
+  EXPECT_EQ(bits(supply.vrm_loss_w), bits(input_w - rail_w));
+  EXPECT_EQ(supply.vrm_window_ok, plain.voltage_v >= config.vrm_spec.min_input_voltage_v &&
+                                      plain.voltage_v <= config.vrm_spec.max_input_voltage_v);
+
+  // The mission's bus: a shared 3-point profile, a 0.3 V floor and an
+  // unclamped power tolerance; then a demand no voltage meets, where
+  // nothing is re-solved.
+  const auto shared_current = [&](double v) {
+    return system.array().current_at_voltage(v, mission_profile);
+  };
+  EXPECT_TRUE(check(shared_current, 0.3, input_w, 1e-3 * input_w, 3).found);
+  EXPECT_FALSE(check(shared_current, 0.3, 100.0 * input_w, 0.1 * input_w, 0).found);
 }
 
 // --------------------------------------------------------------- throttling

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,33 @@ TEST(Contracts, EnsureNonNegativeAcceptsZero) {
 TEST(Contracts, EnsureFiniteRejectsInf) {
   EXPECT_THROW(brightsi::ensure_finite(INFINITY, "x"), std::invalid_argument);
   EXPECT_NO_THROW(brightsi::ensure_finite(-5.0, "x"));
+}
+
+TEST(Contracts, FailureTextIsExact) {
+  auto message_of = [](auto&& check) -> std::string {
+    try {
+      check();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  EXPECT_EQ(message_of([] { brightsi::ensure(false, "boom"); }), "boom");
+  const std::string layer = "die";
+  EXPECT_EQ(message_of([&] {
+              brightsi::ensure(false, "layer z_cells (" + layer + ") must be >= 1");
+            }),
+            "layer z_cells (die) must be >= 1");
+  EXPECT_EQ(message_of([] { brightsi::ensure_positive(0.0, "x"); }),
+            "x must be positive and finite, got 0.000000");
+  EXPECT_EQ(message_of([&] {
+              brightsi::ensure_positive(-2.5, "layer thickness (" + layer + ")");
+            }),
+            "layer thickness (die) must be positive and finite, got -2.500000");
+  EXPECT_EQ(message_of([] { brightsi::ensure_non_negative(-1e-12, "total flow"); }),
+            "total flow must be non-negative and finite, got -0.000000");
+  EXPECT_EQ(message_of([] { brightsi::ensure_finite(INFINITY, "CsrMatrix triplet value"); }),
+            "CsrMatrix triplet value must be finite, got inf");
 }
 
 // ------------------------------------------------------------- sparse matrix
