@@ -44,6 +44,8 @@ struct Power7PowerSpec {
   double io_w_per_cm2 = 3.0;
   /// Clock distribution / random logic between the macros.
   double background_w_per_cm2 = 5.0;
+
+  friend bool operator==(const Power7PowerSpec&, const Power7PowerSpec&) = default;
 };
 
 /// Builds the floorplan. Block names: core0..core7, l2_0..l2_7, l3_top,

@@ -12,11 +12,36 @@ namespace brightsi::core {
 
 namespace ec = brightsi::electrochem;
 
+bool CacheRail::matches(const SystemConfig& config) const {
+  return grid_spec == config.grid_spec && power_spec == config.power_spec &&
+         vrm_count_x == config.vrm_spec.count_x && vrm_count_y == config.vrm_spec.count_y &&
+         vrm_set_point_v == config.vrm_spec.set_point_v &&
+         vrm_output_resistance_ohm == config.vrm_spec.output_resistance_ohm;
+}
+
+std::shared_ptr<const CacheRail> solve_cache_rail(const SystemConfig& config) {
+  auto rail = std::make_shared<CacheRail>();
+  rail->grid_spec = config.grid_spec;
+  rail->power_spec = config.power_spec;
+  rail->vrm_count_x = config.vrm_spec.count_x;
+  rail->vrm_count_y = config.vrm_spec.count_y;
+  rail->vrm_set_point_v = config.vrm_spec.set_point_v;
+  rail->vrm_output_resistance_ohm = config.vrm_spec.output_resistance_ohm;
+
+  const chip::Floorplan primary = chip::make_power7_floorplan(rail->power_spec);
+  const auto taps = pdn::make_vrm_grid(rail->vrm_count_x, rail->vrm_count_y,
+                                       primary.die_width(), primary.die_height(),
+                                       rail->vrm_set_point_v, rail->vrm_output_resistance_ohm);
+  rail->solution = pdn::PowerGrid(rail->grid_spec, primary).solve(taps);
+  return rail;
+}
+
 IntegratedMpsocSystem::IntegratedMpsocSystem(SystemConfig config)
-    : IntegratedMpsocSystem(std::move(config), nullptr) {}
+    : IntegratedMpsocSystem(std::move(config), nullptr, nullptr) {}
 
 IntegratedMpsocSystem::IntegratedMpsocSystem(
-    SystemConfig config, std::shared_ptr<const thermal::ThermalModel> thermal_model)
+    SystemConfig config, std::shared_ptr<const thermal::ThermalModel> thermal_model,
+    std::shared_ptr<const CacheRail> cache_rail)
     : config_(std::move(config)) {
   config_.validate();
   floorplans_.push_back(chip::make_power7_floorplan(config_.power_spec));
@@ -53,9 +78,15 @@ IntegratedMpsocSystem::IntegratedMpsocSystem(
   }
   array_ = std::make_unique<flowcell::FlowCellArray>(electro_array_spec_, config_.chemistry,
                                                      config_.fvm);
-  power_grid_ = std::make_unique<pdn::PowerGrid>(config_.grid_spec, primary);
   ensure(thermal_model_->channel_count() == config_.array_spec.channel_count,
          "thermal stack and array disagree on the channel count");
+  if (cache_rail != nullptr) {
+    ensure(cache_rail->matches(config_),
+           "shared cache rail does not match the configured grid/power/VRM taps");
+    cache_rail_ = std::move(cache_rail);
+  } else {
+    cache_rail_ = solve_cache_rail(config_);
+  }
 }
 
 std::vector<std::vector<double>> IntegratedMpsocSystem::group_channel_profiles(
@@ -194,13 +225,7 @@ CoSimReport IntegratedMpsocSystem::run() const {
     report.layer_flows.push_back(row);
   }
 
-  // Cache-rail IR-drop map (Fig. 8) with the calibrated tap grid.
-  const chip::Floorplan& primary = floorplans_.front();
-  const auto taps = pdn::make_vrm_grid(
-      config_.vrm_spec.count_x, config_.vrm_spec.count_y, primary.die_width(),
-      primary.die_height(), config_.vrm_spec.set_point_v,
-      config_.vrm_spec.output_resistance_ohm);
-  report.grid = power_grid_->solve(taps);
+  report.grid = cache_rail_->solution;
 
   // Hydraulics + energy balance.
   const auto hydraulics = array_->hydraulics_at_spec_flow();

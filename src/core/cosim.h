@@ -5,11 +5,16 @@
 // One `run()` performs the fixed-point loop:
 //   power map -> thermal solve -> per-channel coolant temperature profiles
 //   -> non-isothermal array polarization -> supply operating point against
-//   the VRM input demand -> cache-rail IR-drop map -> convergence check.
+//   the VRM input demand -> convergence check.
 // The loop couples in both directions: chip heat warms the electrolyte,
 // which (Arrhenius kinetics + Stokes-Einstein diffusivity + conductivity)
 // changes the generated power — the effect behind the paper's 4 % / 23 %
 // temperature-sensitivity findings.
+//
+// The cache-rail IR-drop map (Fig. 8) sits outside the loop: it depends
+// only on the cache loads and the VRM tap grid, never on the coolant, so
+// each system holds one solved rail (solve_cache_rail) and every run()
+// reports it.
 #ifndef BRIGHTSI_CORE_COSIM_H
 #define BRIGHTSI_CORE_COSIM_H
 
@@ -84,16 +89,40 @@ struct CoSimReport {
   double thermal_solve_time_s = 0.0;         ///< time iterating inside the Krylov solver
 };
 
+/// The solved cache rail of one configuration, with the inputs it read:
+/// the mesh, the power densities whose cache blocks load it, and the VRM
+/// tap grid. Shared read-only between systems whose configs match.
+struct CacheRail {
+  pdn::PowerGridSpec grid_spec;
+  chip::Power7PowerSpec power_spec;
+  int vrm_count_x = 0;
+  int vrm_count_y = 0;
+  double vrm_set_point_v = 0.0;
+  double vrm_output_resistance_ohm = 0.0;
+  pdn::PowerGridSolution solution;
+
+  /// True when `config` would solve this exact rail: every input above
+  /// compares equal. The one key check of every rail reuse.
+  [[nodiscard]] bool matches(const SystemConfig& config) const;
+};
+
+/// Solves the cache-rail IR-drop map (Fig. 8) of `config`: the primary
+/// die's cache loads against its calibrated VRM tap grid.
+[[nodiscard]] std::shared_ptr<const CacheRail> solve_cache_rail(const SystemConfig& config);
+
 class IntegratedMpsocSystem {
  public:
   explicit IntegratedMpsocSystem(SystemConfig config);
 
-  /// Builds the system around an already-assembled thermal model (shared
-  /// across systems whose scenarios differ only in operating-point
-  /// parameters — the sweep structure cache). The model must match the
-  /// config's thermal grid and stack; a null pointer builds one internally.
+  /// Builds the system around an already-assembled thermal model and an
+  /// already-solved cache rail (shared across systems whose scenarios
+  /// differ only in operating-point parameters — the sweep structure
+  /// cache). The model must match the config's thermal grid and stack,
+  /// and the rail must match the config (CacheRail::matches); a null
+  /// pointer builds or solves its own.
   IntegratedMpsocSystem(SystemConfig config,
-                        std::shared_ptr<const thermal::ThermalModel> thermal_model);
+                        std::shared_ptr<const thermal::ThermalModel> thermal_model,
+                        std::shared_ptr<const CacheRail> cache_rail);
 
   /// Runs the fixed-point co-simulation at the configured operating point.
   /// One thermal solve context is carried across the fixed-point
@@ -120,7 +149,6 @@ class IntegratedMpsocSystem {
   [[nodiscard]] const std::vector<chip::Floorplan>& floorplans() const { return floorplans_; }
   [[nodiscard]] const thermal::ThermalModel& thermal_model() const { return *thermal_model_; }
   [[nodiscard]] const flowcell::FlowCellArray& array() const { return *array_; }
-  [[nodiscard]] const pdn::PowerGrid& power_grid() const { return *power_grid_; }
   /// The electrochemical array's share of the pump total flow (the bottom
   /// channel layer's equal-pressure-drop fraction; 1 for single-layer
   /// stacks).
@@ -144,7 +172,7 @@ class IntegratedMpsocSystem {
   /// cache/warm-start machinery never leaks across runs.
   mutable std::unique_ptr<thermal::ThermalSolveContext> thermal_context_;
   std::unique_ptr<flowcell::FlowCellArray> array_;
-  std::unique_ptr<pdn::PowerGrid> power_grid_;
+  std::shared_ptr<const CacheRail> cache_rail_;
 
   [[nodiscard]] SupplyOperatingPoint solve_supply(
       double vrm_output_power_w,

@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chip/power7.h"
@@ -244,12 +246,16 @@ int RackSpec::segment_count(int loop) const {
       max_segment = std::max(max_segment, c.segment);
     }
   }
-  ensure(max_segment >= 0, "rack has no loop " + std::to_string(loop));
+  if (max_segment < 0) {
+    throw std::invalid_argument("rack has no loop " + std::to_string(loop));
+  }
   return max_segment + 1;
 }
 
 thermal::CoolantProperties RackSpec::coolant_reference() const {
-  ensure(!chips.empty(), "rack '" + name + "' has no chips");
+  if (chips.empty()) {
+    throw std::invalid_argument("rack '" + name + "' has no chips");
+  }
   return chips.front().system.thermal_operating_point().coolant;
 }
 

@@ -144,7 +144,7 @@ ClosureResult solve_wall_current(const ClosureParameters& params, const WallConc
     i_solution = i_lo;
     result.clamped = true;
   } else {
-    const auto root = numerics::find_root_brent(g, i_lo, i_hi, 1e-10, 1e-9);
+    const auto root = numerics::find_root_brent(g, {i_lo, g_lo}, {i_hi, g_hi}, 1e-10, 1e-9);
     i_solution = root.root;
   }
 

@@ -22,14 +22,22 @@ struct RootResult {
   bool converged = false;
 };
 
-/// Brent's method on [a, b]. Requires f(a) and f(b) of opposite sign (or one
-/// of them zero); throws std::invalid_argument otherwise. Converges to
-/// |b - a| <= x_tolerance or |f| <= f_tolerance.
+/// A bracket end whose function value the caller already knows.
+struct BracketEnd {
+  double x = 0.0;
+  double f = 0.0;  ///< f(x)
+};
+
+/// Brent's method on [lo.x, hi.x] from known end values, so a caller that
+/// has already evaluated the ends (to test the bracket) does not pay for
+/// them twice. Same contract and iterates as the overload below.
 template <typename F>
-RootResult find_root_brent(F&& f, double a, double b, double x_tolerance = 1e-12,
+RootResult find_root_brent(F&& f, BracketEnd lo, BracketEnd hi, double x_tolerance = 1e-12,
                            double f_tolerance = 0.0, int max_iterations = 128) {
-  double fa = f(a);
-  double fb = f(b);
+  double a = lo.x;
+  double b = hi.x;
+  double fa = lo.f;
+  double fb = hi.f;
   if (fa == 0.0) {
     return {a, 0.0, 0, true};
   }
@@ -110,6 +118,18 @@ RootResult find_root_brent(F&& f, double a, double b, double x_tolerance = 1e-12
   result.function_value = fb;
   result.converged = false;
   return result;
+}
+
+/// Brent's method on [a, b]. Requires f(a) and f(b) of opposite sign (or one
+/// of them zero); throws std::invalid_argument otherwise. Converges to
+/// |b - a| <= x_tolerance or |f| <= f_tolerance.
+template <typename F>
+RootResult find_root_brent(F&& f, double a, double b, double x_tolerance = 1e-12,
+                           double f_tolerance = 0.0, int max_iterations = 128) {
+  const double fa = f(a);
+  const double fb = f(b);
+  return find_root_brent(f, BracketEnd{a, fa}, BracketEnd{b, fb}, x_tolerance, f_tolerance,
+                         max_iterations);
 }
 
 /// Damped Newton iteration from `x0`. `fdf` returns {f(x), f'(x)}. Falls

@@ -6,7 +6,7 @@
 // carries the effective rail resistance (all metal layers lumped into one
 // sheet), load blocks stamp current sinks at their nodes, and VRM outputs
 // are Thevenin sources (set-point voltage behind an output resistance).
-// The resulting SPD system G v = i is solved by Jacobi-preconditioned CG.
+// The resulting SPD system G v = i is solved by ILU(0)-preconditioned CG.
 #ifndef BRIGHTSI_PDN_POWER_GRID_H
 #define BRIGHTSI_PDN_POWER_GRID_H
 
@@ -41,6 +41,8 @@ struct PowerGridSpec {
   double nominal_voltage_v = 1.0;
 
   void validate() const;
+
+  friend bool operator==(const PowerGridSpec&, const PowerGridSpec&) = default;
 };
 
 /// Result of a rail solve.

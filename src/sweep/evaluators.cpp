@@ -77,8 +77,9 @@ SweepEvaluator cosim_evaluator() {
   };
   evaluator.fn = [](const core::SystemConfig& config, const ScenarioSpec& scenario,
                     WorkerState& worker) {
-    const core::IntegratedMpsocSystem system(
-        config, worker.thermal_models.model_for(config, scenario));
+    const core::IntegratedMpsocSystem system(config,
+                                             worker.thermal_models.model_for(config, scenario),
+                                             worker.rails.rail_for(config));
     const core::CoSimReport report = system.run();
     return std::vector<double>{
         static_cast<double>(report.iterations),
@@ -249,8 +250,9 @@ SweepEvaluator stack_evaluator() {
                        "flow_frac_min", "flow_frac_max",  "fluid_heat_w"};
   evaluator.fn = [](const core::SystemConfig& config, const ScenarioSpec& scenario,
                     WorkerState& worker) {
-    const core::IntegratedMpsocSystem system(
-        config, worker.thermal_models.model_for(config, scenario));
+    const core::IntegratedMpsocSystem system(config,
+                                             worker.thermal_models.model_for(config, scenario),
+                                             worker.rails.rail_for(config));
     const core::CoSimReport report = system.run();
     double frac_min = 1.0;
     double frac_max = 0.0;

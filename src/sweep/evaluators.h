@@ -20,7 +20,7 @@ namespace brightsi::sweep {
 /// evaluator-consumed parameters like edge_taps_per_side) and the calling
 /// worker's mutable state — the structure cache that lets consecutive
 /// scenarios differing only in operating-point parameters reuse the
-/// assembled thermal model.
+/// assembled thermal model and the solved cache rail.
 struct SweepEvaluator {
   std::string name;
   std::vector<std::string> metrics;

@@ -8,10 +8,10 @@
 //
 // Each worker carries a WorkerState (sweep/system_cache.h) across its
 // scenarios: consecutive scenarios that differ only in operating-point
-// parameters reuse the assembled thermal model, and mission scenarios
-// that differ only in electrochemical knobs replay one recorded thermal
-// trajectory. Reuse never changes result bytes — sweep_test cross-checks
-// cached vs uncached rows at 1 and N threads.
+// parameters reuse the assembled thermal model and the solved cache rail,
+// and mission scenarios that differ only in electrochemical knobs replay
+// one recorded thermal trajectory. Reuse never changes result bytes —
+// sweep_test cross-checks cached vs uncached rows at 1 and N threads.
 #ifndef BRIGHTSI_SWEEP_RUNNER_H
 #define BRIGHTSI_SWEEP_RUNNER_H
 
@@ -65,9 +65,10 @@ struct SweepResult {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   int thread_count = 0;
-  /// Per-worker reuse of assembled model structure (and recorded mission
-  /// trajectories) across scenarios. Result rows are byte-identical either
-  /// way; disable to cross-check that invariant or to bound memory.
+  /// Per-worker reuse of assembled model structure, solved cache rails and
+  /// recorded mission trajectories across scenarios. Result rows are
+  /// byte-identical either way; disable to cross-check that invariant or
+  /// to bound memory.
   bool reuse_structures = true;
 };
 

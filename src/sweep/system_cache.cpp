@@ -51,6 +51,14 @@ std::shared_ptr<const thermal::ThermalModel> ThermalModelCache::model_for(
   return model_;
 }
 
+std::shared_ptr<const core::CacheRail> RailCache::rail_for(const core::SystemConfig& config) {
+  if (!enabled_ || rail_ == nullptr || !rail_->matches(config)) {
+    rail_ = core::solve_cache_rail(config);
+    ++solve_count_;
+  }
+  return rail_;
+}
+
 const core::MissionThermalTrajectory* MissionTrajectoryCache::find(const std::string& key) {
   if (!enabled_) {
     return nullptr;

@@ -5,9 +5,14 @@
 // sparsity pattern — keyed by the scenario's thermal-structural overrides
 // (ParameterInfo::thermal_structural).
 //
+// The solved cache rail is reused the same way, keyed by the rail's own
+// inputs (core::CacheRail::matches): scenarios that vary only the coolant
+// share one rail solve.
+//
 // Result rows are byte-identical with and without reuse (sweep_test proves
-// it): a shared model is bitwise the model the scenario would have built
-// itself, and IntegratedMpsocSystem::run() carries no state across runs.
+// it): a shared model or rail is bitwise the one the scenario would have
+// built itself, and IntegratedMpsocSystem::run() carries no state across
+// runs.
 #ifndef BRIGHTSI_SWEEP_SYSTEM_CACHE_H
 #define BRIGHTSI_SWEEP_SYSTEM_CACHE_H
 
@@ -15,6 +20,7 @@
 #include <memory>
 #include <string>
 
+#include "core/cosim.h"
 #include "core/mission.h"
 #include "core/system_config.h"
 #include "sweep/scenario.h"
@@ -44,6 +50,27 @@ class ThermalModelCache {
   std::string fingerprint_;
   std::shared_ptr<const thermal::ThermalModel> model_;
   int build_count_ = 0;
+};
+
+/// Caches the most recently solved cache rail. Single-threaded — one
+/// instance per worker thread — and depth-1 like ThermalModelCache: plans
+/// keep the rail's inputs fixed over whole runs of adjacent scenarios.
+class RailCache {
+ public:
+  explicit RailCache(bool enabled = true) : enabled_(enabled) {}
+
+  /// The solved rail for `config`: the cached one when it matches
+  /// (core::CacheRail::matches), otherwise a fresh solve (which replaces
+  /// the cache slot). With caching disabled every call solves fresh.
+  [[nodiscard]] std::shared_ptr<const core::CacheRail> rail_for(const core::SystemConfig& config);
+
+  /// Rails solved so far — lets tests assert reuse actually happened.
+  [[nodiscard]] int solve_count() const { return solve_count_; }
+
+ private:
+  bool enabled_;
+  std::shared_ptr<const core::CacheRail> rail_;
+  int solve_count_ = 0;
 };
 
 /// Caches recorded mission thermal trajectories keyed by the scenario's
@@ -84,9 +111,12 @@ class MissionTrajectoryCache {
 /// sweep run. Owned by the runner; never shared between threads.
 struct WorkerState {
   explicit WorkerState(bool reuse_structures = true)
-      : thermal_models(reuse_structures), mission_trajectories(reuse_structures) {}
+      : thermal_models(reuse_structures),
+        rails(reuse_structures),
+        mission_trajectories(reuse_structures) {}
 
   ThermalModelCache thermal_models;
+  RailCache rails;
   MissionTrajectoryCache mission_trajectories;
 };
 

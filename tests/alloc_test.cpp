@@ -1,8 +1,9 @@
 // Allocation guard for the steady-path hot loops: the global operator
 // new is replaced with a counter, and the per-station electrochemistry,
-// the wall closure and the CSR/Krylov kernels must not allocate. A
-// passing `ensure*` check must not either, whatever its message length
-// (libstdc++ stores at most 15 characters without allocating).
+// the wall closure, the CSR/Krylov kernels and the rack queries of every
+// fleet replay step must not allocate. A passing `ensure*` check must not
+// either, whatever its message length (libstdc++ stores at most 15
+// characters without allocating).
 //
 // Kept out of the sanitizer lane: the replacement operator new takes the
 // place of the one the ASan runtime defines to check new/delete pairing.
@@ -14,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system_config.h"
 #include "electrochem/butler_volmer.h"
 #include "electrochem/nernst.h"
 #include "electrochem/vanadium.h"
+#include "fleet/rack.h"
 #include "flowcell/channel_spec.h"
 #include "flowcell/film_model.h"
 #include "flowcell/wall_closure.h"
@@ -51,6 +54,7 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ec = brightsi::electrochem;
 namespace fc = brightsi::flowcell;
+namespace fl = brightsi::fleet;
 namespace nm = brightsi::numerics;
 
 namespace {
@@ -124,6 +128,19 @@ TEST(AllocationFree, WallClosure) {
   EXPECT_EQ(allocations_during([&] { result = fc::solve_wall_current(p, wall, 0.9); }), 0);
   EXPECT_GT(result.total_current_density, 0.0);
   EXPECT_FALSE(result.clamped);  // the Brent branch ran
+}
+
+TEST(AllocationFree, RackQueriesOfTheReplayWalk) {
+  const fl::RackSpec rack = fl::make_demo_rack(brightsi::core::power7_system_config(), 4, 2, 2);
+  int segments = 0;
+  double heat_capacity = 0.0;
+  EXPECT_EQ(allocations_during([&] {
+              segments += rack.segment_count(0) + rack.segment_count(1);
+              heat_capacity += rack.coolant_reference().volumetric_heat_capacity_j_per_m3_k;
+            }),
+            0);
+  EXPECT_EQ(segments, 4);
+  EXPECT_GT(heat_capacity, 0.0);
 }
 
 TEST(AllocationFree, CsrRefillWithPopulatedSlotCache) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -248,6 +249,48 @@ TEST(BusSolve, MemoisedSolveMatchesPlainFormulationBitwise) {
   };
   EXPECT_TRUE(check(shared_current, 0.3, input_w, 1e-3 * input_w, 3).found);
   EXPECT_FALSE(check(shared_current, 0.3, 100.0 * input_w, 0.1 * input_w, 0).found);
+}
+
+// --------------------------------------------------------------- cache rail
+TEST(CacheRail, SharedRailReportsTheGridTheSystemSolvesBitwise) {
+  // The rail reads the loads and the taps, never the coolant: a rail solved
+  // at another inlet temperature is the rail this system needs.
+  co::SystemConfig warm = fast_config();
+  warm.array_spec.inlet_temperature_k = 310.15;
+  const std::shared_ptr<const co::CacheRail> rail = co::solve_cache_rail(warm);
+  ASSERT_TRUE(rail->matches(fast_config()));
+
+  const pd::PowerGridSolution& own = cached_report().grid;
+  const pd::PowerGridSolution shared =
+      co::IntegratedMpsocSystem(fast_config(), nullptr, rail).run().grid;
+  const std::vector<double>& own_v = own.node_voltage_v.data();
+  const std::vector<double>& shared_v = shared.node_voltage_v.data();
+  ASSERT_EQ(shared_v.size(), own_v.size());
+  for (std::size_t i = 0; i < own_v.size(); ++i) {
+    ASSERT_EQ(bits(shared_v[i]), bits(own_v[i])) << "node " << i;
+  }
+  EXPECT_EQ(bits(shared.min_voltage_v), bits(own.min_voltage_v));
+  EXPECT_EQ(bits(shared.max_voltage_v), bits(own.max_voltage_v));
+  EXPECT_EQ(bits(shared.mean_voltage_v), bits(own.mean_voltage_v));
+  EXPECT_EQ(bits(shared.total_load_current_a), bits(own.total_load_current_a));
+  EXPECT_EQ(bits(shared.total_supply_current_a), bits(own.total_supply_current_a));
+  EXPECT_EQ(bits(shared.worst_drop_v), bits(own.worst_drop_v));
+  EXPECT_EQ(bits(shared.ohmic_loss_w), bits(own.ohmic_loss_w));
+  EXPECT_EQ(shared.solver_report.iterations, own.solver_report.iterations);
+  EXPECT_GT(own.solver_report.iterations, 0);
+}
+
+TEST(CacheRail, SystemRejectsARailSolvedForAnotherConfig) {
+  co::SystemConfig other = fast_config();
+  other.vrm_spec.count_x = 3;
+  const std::shared_ptr<const co::CacheRail> rail = co::solve_cache_rail(other);
+  EXPECT_FALSE(rail->matches(fast_config()));
+  try {
+    const co::IntegratedMpsocSystem system(fast_config(), nullptr, rail);
+    ADD_FAILURE() << "a mismatched rail was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "shared cache rail does not match the configured grid/power/VRM taps");
+  }
 }
 
 // --------------------------------------------------------------- throttling

@@ -103,7 +103,12 @@ TEST(RackSpec, DemoRackShapes) {
   EXPECT_EQ(rack.loop_count(), 2);
   EXPECT_EQ(rack.segment_count(0), 2);
   EXPECT_EQ(rack.segment_count(1), 2);
-  EXPECT_THROW((void)rack.segment_count(2), std::invalid_argument);
+  try {
+    (void)rack.segment_count(2);
+    ADD_FAILURE() << "segment_count(2) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "rack has no loop 2");
+  }
 }
 
 // ------------------------------------------------------------ steady solve

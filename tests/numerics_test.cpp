@@ -1,6 +1,8 @@
 // Unit and property tests of the numerics substrate.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <string>
 
@@ -614,6 +616,28 @@ TEST(RootFinding, BrentThrowsWithoutSignChange) {
   EXPECT_THROW(
       nm::find_root_brent([](double x) { return x * x + 1.0; }, -1.0, 1.0),
       std::invalid_argument);
+}
+
+TEST(RootFinding, BrentFromKnownEndsSkipsTheirEvaluationBitwise) {
+  int calls = 0;
+  auto f = [&calls](double x) {
+    ++calls;
+    return std::exp(x) - 3.0 * x * x;
+  };
+  const nm::RootResult plain = nm::find_root_brent(f, 0.0, 2.0, 1e-14, 0.0, 64);
+  const int plain_calls = calls;
+
+  const nm::BracketEnd lo{0.0, f(0.0)};
+  const nm::BracketEnd hi{2.0, f(2.0)};
+  calls = 0;
+  const nm::RootResult known = nm::find_root_brent(f, lo, hi, 1e-14, 0.0, 64);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_EQ(calls, plain_calls - 2);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(known.root), std::bit_cast<std::uint64_t>(plain.root));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(known.function_value),
+            std::bit_cast<std::uint64_t>(plain.function_value));
+  EXPECT_EQ(known.iterations, plain.iterations);
+  EXPECT_EQ(known.converged, plain.converged);
 }
 
 class BrentPolynomials : public ::testing::TestWithParam<double> {};

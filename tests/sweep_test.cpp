@@ -2,7 +2,7 @@
 // runner determinism across thread counts, and cross-checks of the sweep
 // rows against direct evaluations of the underlying models.
 #include <sstream>
-
+#include <utility>
 #include <variant>
 
 #include <gtest/gtest.h>
@@ -395,20 +395,58 @@ TEST(SweepCache, ThermalModelReusedAcrossOperatingPoints) {
   EXPECT_EQ(disabled.build_count(), 2);
 }
 
+TEST(SweepCache, RailReusedAcrossOperatingPoints) {
+  const co::SystemConfig base = co::power7_system_config();
+  sw::RailCache cache;
+  auto rail_for = [&](sw::RailCache& c, const char* param, double value) {
+    sw::ScenarioSpec scenario;
+    scenario.set(param, value);
+    return c.rail_for(sw::apply_scenario(base, scenario));
+  };
+
+  const auto first = rail_for(cache, "flow_ml_min", 676.0);
+  EXPECT_EQ(cache.solve_count(), 1);
+  // The coolant and the converter efficiency never reach the rail: hits.
+  EXPECT_EQ(rail_for(cache, "flow_ml_min", 48.0).get(), first.get());
+  EXPECT_EQ(rail_for(cache, "inlet_c", 37.0).get(), first.get());
+  EXPECT_EQ(rail_for(cache, "vrm_efficiency", 0.9).get(), first.get());
+  EXPECT_EQ(cache.solve_count(), 1);
+
+  // The tap grid, the tap resistance and the cache loads are rail inputs:
+  // each change alone misses the cached base rail and solves its own.
+  for (const auto& [param, value] :
+       {std::pair{"vrm_grid_n", 3.0}, std::pair{"vrm_r_mohm", 50.0},
+        std::pair{"power_scale", 1.2}}) {
+    sw::RailCache primed;
+    const auto base_rail = rail_for(primed, "flow_ml_min", 676.0);
+    const auto changed = rail_for(primed, param, value);
+    EXPECT_NE(changed.get(), base_rail.get()) << param;
+    EXPECT_EQ(primed.solve_count(), 2) << param;
+    EXPECT_FALSE(changed->matches(base)) << param;
+  }
+
+  sw::RailCache disabled(false);
+  const auto a = rail_for(disabled, "flow_ml_min", 676.0);
+  const auto b = rail_for(disabled, "flow_ml_min", 676.0);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(disabled.solve_count(), 2);
+}
+
 TEST(SweepCache, CachedAndUncachedRowsByteIdenticalAtAnyThreadCount) {
   // The acceptance bar of the structure cache: rows must be byte-identical
   // with reuse on and off, serial and parallel. The plan mixes structural
-  // (axial_cells) and operating-point (flow, inlet) axes so both cache
-  // hits and rebuilds occur mid-sweep.
+  // (axial_cells), rail (vrm_grid_n) and operating-point (flow, inlet)
+  // axes so cache hits, rebuilds and rail re-solves occur mid-sweep.
   sw::SweepPlan plan;
   plan.name = "cache_crosscheck";
   plan.base = co::power7_system_config();
   plan.base.thermal_grid.axial_cells = 8;
   plan.evaluator = sw::cosim_evaluator();
   plan.add_grid({{"axial_cells", {6.0, 8.0}},
+                 {"vrm_grid_n", {3.0, 4.0}},
                  {"flow_ml_min", {200.0, 676.0}},
                  {"inlet_c", {27.0, 37.0}}});
-  ASSERT_EQ(plan.scenarios.size(), 8u);
+  ASSERT_EQ(plan.scenarios.size(), 16u);
 
   sw::SweepOptions cached_serial{1, true};
   sw::SweepOptions uncached_serial{1, false};

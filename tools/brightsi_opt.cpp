@@ -17,7 +17,7 @@
 //   --screen-factor K nsga2 offspring proposed per real evaluation slot
 //                     (default 3; 1 disables the surrogate screen)
 //   --seed S          nsga2 RNG seed, unsigned 64-bit (fixed default)
-//   --no-reuse        rebuild thermal structures per candidate
+//   --no-reuse        rebuild thermal structures and cache rails per candidate
 //   --maximize M[*W]  replace the study's objective *terms*: maximize M
 //   --minimize M[*W]  ... or minimize it (repeatable; weights optional).
 //                     The study's built-in hard constraints and Pareto
