@@ -6,22 +6,6 @@
 
 namespace brightsi::chip {
 
-const char* to_string(BlockType type) {
-  switch (type) {
-    case BlockType::kCore:
-      return "core";
-    case BlockType::kL2Cache:
-      return "L2";
-    case BlockType::kL3Cache:
-      return "L3";
-    case BlockType::kLogic:
-      return "logic";
-    case BlockType::kIo:
-      return "I/O";
-  }
-  return "?";
-}
-
 Floorplan::Floorplan(double die_width_m, double die_height_m)
     : die_width_m_(die_width_m), die_height_m_(die_height_m) {
   ensure_positive(die_width_m, "die width");
@@ -46,57 +30,9 @@ void Floorplan::add_block(Block block) {
   blocks_.push_back(std::move(block));
 }
 
-const Block* Floorplan::find(const std::string& name) const {
-  for (const Block& b : blocks_) {
-    if (b.name == name) {
-      return &b;
-    }
-  }
-  return nullptr;
-}
-
 void Floorplan::set_background_power_density(double w_per_m2) {
   ensure_non_negative(w_per_m2, "background power density");
   background_density_w_per_m2_ = w_per_m2;
-}
-
-void Floorplan::set_power_density(const std::string& name, double w_per_m2) {
-  ensure_non_negative(w_per_m2, "block power density");
-  for (Block& b : blocks_) {
-    if (b.name == name) {
-      b.power_density_w_per_m2 = w_per_m2;
-      return;
-    }
-  }
-  throw std::invalid_argument("unknown block '" + name + "'");
-}
-
-void Floorplan::scale_power(BlockType type, double factor) {
-  ensure_non_negative(factor, "power scale factor");
-  for (Block& b : blocks_) {
-    if (b.type == type) {
-      b.power_density_w_per_m2 *= factor;
-    }
-  }
-}
-
-void Floorplan::set_power_density_for_type(BlockType type, double w_per_m2) {
-  ensure_non_negative(w_per_m2, "block power density");
-  for (Block& b : blocks_) {
-    if (b.type == type) {
-      b.power_density_w_per_m2 = w_per_m2;
-    }
-  }
-}
-
-double Floorplan::area_of_type(BlockType type) const {
-  double area = 0.0;
-  for (const Block& b : blocks_) {
-    if (b.type == type) {
-      area += b.footprint.area();
-    }
-  }
-  return area;
 }
 
 double Floorplan::power_of_type(BlockType type) const {
@@ -107,10 +43,6 @@ double Floorplan::power_of_type(BlockType type) const {
     }
   }
   return power;
-}
-
-double Floorplan::cache_area() const {
-  return area_of_type(BlockType::kL2Cache) + area_of_type(BlockType::kL3Cache);
 }
 
 double Floorplan::cache_power() const {

@@ -8,7 +8,6 @@
 #ifndef BRIGHTSI_CHIP_FLOORPLAN_H
 #define BRIGHTSI_CHIP_FLOORPLAN_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,6 @@ enum class BlockType {
   kLogic,
   kIo,
 };
-
-[[nodiscard]] const char* to_string(BlockType type);
 
 /// True for the block types the paper powers from the microfluidic supply
 /// (the L2 and L3 cache rail, Section III-A).
@@ -59,27 +56,12 @@ class Floorplan {
 
   [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
 
-  /// Lookup by name; nullptr when absent.
-  [[nodiscard]] const Block* find(const std::string& name) const;
-
   /// Power density for die area not covered by any block.
   void set_background_power_density(double w_per_m2);
   [[nodiscard]] double background_power_density() const { return background_density_w_per_m2_; }
 
-  /// Sets the density of one named block; throws when the name is unknown.
-  void set_power_density(const std::string& name, double w_per_m2);
-
-  /// Multiplies the density of every block of `type` by `factor` (DVFS-style
-  /// activity scaling).
-  void scale_power(BlockType type, double factor);
-
-  /// Sets the density of every block of `type`.
-  void set_power_density_for_type(BlockType type, double w_per_m2);
-
-  [[nodiscard]] double area_of_type(BlockType type) const;
   [[nodiscard]] double power_of_type(BlockType type) const;
-  /// Sum of L2 + L3 cache block areas (the microfluidic rail's load area).
-  [[nodiscard]] double cache_area() const;
+  /// L2 + L3 cache power: the microfluidic rail's load.
   [[nodiscard]] double cache_power() const;
 
   /// Total block power + background power over uncovered area.

@@ -17,8 +17,6 @@ struct Rect {
   [[nodiscard]] double right() const { return x + width; }
   [[nodiscard]] double top() const { return y + height; }
   [[nodiscard]] double area() const { return width * height; }
-  [[nodiscard]] double center_x() const { return x + width / 2.0; }
-  [[nodiscard]] double center_y() const { return y + height / 2.0; }
 
   [[nodiscard]] bool contains(double px, double py) const {
     return px >= x && px <= right() && py >= y && py <= top();

@@ -83,18 +83,4 @@ Power7PowerSpec memory_die_power_spec() {
   return spec;
 }
 
-double cache_density_for_rail_current(const Floorplan& floorplan, double current_a,
-                                      double voltage_v) {
-  ensure_positive(current_a, "rail current");
-  ensure_positive(voltage_v, "rail voltage");
-  const double area = floorplan.cache_area();
-  ensure(area > 0.0, "floorplan has no cache blocks");
-  return current_a * voltage_v / area;
-}
-
-double cache_rail_current_a(const Floorplan& floorplan, double voltage_v) {
-  ensure_positive(voltage_v, "rail voltage");
-  return floorplan.cache_power() / voltage_v;
-}
-
 }  // namespace brightsi::chip

@@ -58,14 +58,6 @@ struct Power7PowerSpec {
 /// and the die_count sweep parameter.
 [[nodiscard]] Power7PowerSpec memory_die_power_spec();
 
-/// Cache density (W/cm^2) that makes the cache rail draw `current_a` at
-/// `voltage_v` given the reconstruction's cache area.
-[[nodiscard]] double cache_density_for_rail_current(const Floorplan& floorplan,
-                                                    double current_a, double voltage_v);
-
-/// Rail current the caches draw at `voltage_v`: P_cache / V.
-[[nodiscard]] double cache_rail_current_a(const Floorplan& floorplan, double voltage_v);
-
 }  // namespace brightsi::chip
 
 #endif  // BRIGHTSI_CHIP_POWER7_H

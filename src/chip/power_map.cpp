@@ -49,38 +49,6 @@ numerics::Grid2<double> rasterize_power_w(const Floorplan& floorplan, int nx, in
   return grid;
 }
 
-numerics::Grid2<double> rasterize_power_w(const Floorplan& floorplan, int nx, int ny) {
-  numerics::Grid2<double> grid = rasterize_power_w(floorplan, nx, ny, nullptr);
-  const double background = floorplan.background_power_density();
-  if (background > 0.0) {
-    // Background covers the whole die; subtract the area already covered by
-    // blocks cell-by-cell so the total stays exact.
-    const double dx = floorplan.die_width() / nx;
-    const double dy = floorplan.die_height() / ny;
-    numerics::Grid2<double> covered(nx, ny, 0.0);
-    for (const Block& block : floorplan.blocks()) {
-      splat_rect(covered, block.footprint, 1.0, floorplan.die_width(), floorplan.die_height());
-    }
-    for (int iy = 0; iy < ny; ++iy) {
-      for (int ix = 0; ix < nx; ++ix) {
-        const double cell_area = dx * dy;
-        const double uncovered = std::max(0.0, cell_area - covered(ix, iy));
-        grid(ix, iy) += background * uncovered;
-      }
-    }
-  }
-  return grid;
-}
-
-numerics::Grid2<double> rasterize_density_w_per_m2(const Floorplan& floorplan, int nx, int ny) {
-  numerics::Grid2<double> grid = rasterize_power_w(floorplan, nx, ny);
-  const double cell_area = (floorplan.die_width() / nx) * (floorplan.die_height() / ny);
-  for (double& v : grid.data()) {
-    v /= cell_area;
-  }
-  return grid;
-}
-
 numerics::Grid2<double> rasterize_power_w_on_edges(const Floorplan& floorplan,
                                                    std::span<const double> x_edges,
                                                    std::span<const double> y_edges) {

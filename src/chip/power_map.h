@@ -15,21 +15,13 @@
 
 namespace brightsi::chip {
 
-/// Per-cell power in W on an nx-by-ny grid covering the die. Cell (0, 0) is
-/// the lower-left corner. Background density applies to uncovered area.
-[[nodiscard]] numerics::Grid2<double> rasterize_power_w(const Floorplan& floorplan, int nx,
-                                                        int ny);
-
-/// Same but filtered: only blocks for which `include` returns true
-/// contribute (background is excluded). Used to build the cache-rail
+/// Per-cell power in W on an nx-by-ny grid covering the die, from the
+/// blocks for which `include` returns true (background is excluded). Cell
+/// (0, 0) is the lower-left corner. Used to build the cache-rail
 /// current-sink map for the PDN.
 [[nodiscard]] numerics::Grid2<double> rasterize_power_w(
     const Floorplan& floorplan, int nx, int ny,
     const std::function<bool(const Block&)>& include);
-
-/// Power density map in W/m^2 (per-cell power divided by cell area).
-[[nodiscard]] numerics::Grid2<double> rasterize_density_w_per_m2(const Floorplan& floorplan,
-                                                                 int nx, int ny);
 
 /// Rasterization onto a tensor-product grid with arbitrary cell edges
 /// (x_edges/y_edges ascending, spanning the die). Used by the thermal model,

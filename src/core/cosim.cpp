@@ -73,7 +73,6 @@ IntegratedMpsocSystem::IntegratedMpsocSystem(
   if (thermal_model_->channel_layer_count() > 1) {
     const std::vector<double> layer_flows =
         thermal_model_->layer_flow_split(config_.thermal_operating_point());
-    electro_flow_fraction_ = layer_flows.front() / config_.array_spec.total_flow_m3_per_s;
     electro_array_spec_.total_flow_m3_per_s = layer_flows.front();
   }
   array_ = std::make_unique<flowcell::FlowCellArray>(electro_array_spec_, config_.chemistry,
@@ -255,28 +254,6 @@ CoSimReport IntegratedMpsocSystem::run() const {
       stats_after.precond_setup_time_s - stats_before.precond_setup_time_s;
   report.thermal_solve_time_s = stats_after.solve_time_s - stats_before.solve_time_s;
   return report;
-}
-
-flowcell::PolarizationCurve IntegratedMpsocSystem::array_sweep_with_thermal_feedback(
-    double min_voltage_v, int point_count) const {
-  ensure(point_count >= 2, "sweep needs at least two points");
-  const CoSimReport report = run();
-  const auto group_profiles =
-      group_channel_profiles(report.thermal.channel_fluid_axial_k());
-
-  const double ocv = array_->open_circuit_voltage();
-  const double v_start = ocv - 1e-4;
-  const double electrode_area = config_.array_spec.geometry.projected_electrode_area_m2() *
-                                config_.array_spec.channel_count;
-  std::vector<flowcell::PolarizationPoint> points;
-  points.reserve(static_cast<std::size_t>(point_count));
-  for (int k = 0; k < point_count; ++k) {
-    const double v =
-        v_start + (min_voltage_v - v_start) * static_cast<double>(k) / (point_count - 1);
-    const double current = array_current_with_profiles(v, group_profiles);
-    points.push_back({v, current, current / electrode_area, current * v});
-  }
-  return flowcell::PolarizationCurve(std::move(points));
 }
 
 }  // namespace brightsi::core

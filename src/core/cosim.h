@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/system_config.h"
-#include "flowcell/polarization.h"
 #include "thermal/solve_context.h"
 
 namespace brightsi::core {
@@ -132,11 +131,6 @@ class IntegratedMpsocSystem {
   /// each own their system).
   [[nodiscard]] CoSimReport run() const;
 
-  /// Array polarization sweep under the co-simulated (non-isothermal)
-  /// channel temperature profiles of a converged run.
-  [[nodiscard]] flowcell::PolarizationCurve array_sweep_with_thermal_feedback(
-      double min_voltage_v, int point_count) const;
-
   /// Array current at `cell_voltage_v` with the thermally-coupled channel
   /// profiles (grouped evaluation).
   [[nodiscard]] double array_current_with_profiles(
@@ -149,10 +143,6 @@ class IntegratedMpsocSystem {
   [[nodiscard]] const std::vector<chip::Floorplan>& floorplans() const { return floorplans_; }
   [[nodiscard]] const thermal::ThermalModel& thermal_model() const { return *thermal_model_; }
   [[nodiscard]] const flowcell::FlowCellArray& array() const { return *array_; }
-  /// The electrochemical array's share of the pump total flow (the bottom
-  /// channel layer's equal-pressure-drop fraction; 1 for single-layer
-  /// stacks).
-  [[nodiscard]] double electro_flow_fraction() const { return electro_flow_fraction_; }
 
   /// Averages the 88 per-channel profiles into config.channel_groups
   /// group profiles.
@@ -166,7 +156,6 @@ class IntegratedMpsocSystem {
   /// with total flow scaled to the bottom channel layer's share. Bitwise
   /// the configured spec for single-layer stacks.
   flowcell::ArraySpec electro_array_spec_;
-  double electro_flow_fraction_ = 1.0;
   std::shared_ptr<const thermal::ThermalModel> thermal_model_;
   /// Mutable solve state behind the const run(): reset per run, so the
   /// cache/warm-start machinery never leaks across runs.

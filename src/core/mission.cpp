@@ -25,7 +25,6 @@ void MissionConfig::validate() const {
   reservoir.validate();
   ensure(initial_soc > 0.0 && initial_soc < 1.0, "initial SOC in (0, 1)");
   ensure_positive(dt_s, "mission step");
-  ensure_positive(soc_rebuild_threshold, "SOC rebuild threshold");
   ensure(sample_stride >= 1, "mission sample stride must be >= 1");
   ensure(workload.total_duration_s() > 0.0, "mission needs a workload");
   ensure(dt_s <= workload.total_duration_s(),
@@ -33,6 +32,10 @@ void MissionConfig::validate() const {
 }
 
 namespace {
+
+/// SOC resolution for rebuilding the electrochemical model: the array is
+/// re-instantiated when the SOC moved by more than this.
+constexpr double kSocRebuildThreshold = 0.02;
 
 /// Operating point of the array against a constant-power rail demand, with
 /// a simple 3-point axial temperature profile. Returns {V, I, ok}.
@@ -104,7 +107,7 @@ MissionResult run_mission(const MissionConfig& config,
   double array_soc = reservoir.state_of_charge();
   auto process_step = [&](const MissionThermalStep& step) {
     // Refresh the electrochemical model when the tanks drifted enough.
-    if (std::abs(reservoir.state_of_charge() - array_soc) > config.soc_rebuild_threshold) {
+    if (std::abs(reservoir.state_of_charge() - array_soc) > kSocRebuildThreshold) {
       array_soc = reservoir.state_of_charge();
       array = std::make_unique<fc::FlowCellArray>(electro_spec,
                                                   reservoir.chemistry_at(array_soc), sys.fvm);

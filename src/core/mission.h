@@ -35,9 +35,6 @@ struct MissionConfig {
                                          ///< the system chemistry is used)
   double initial_soc = 0.95;
   double dt_s = 0.1;                     ///< nominal transient step
-  /// SOC resolution for rebuilding the electrochemical model (the array is
-  /// re-instantiated when the SOC moved by more than this).
-  double soc_rebuild_threshold = 0.02;
   /// Record every Nth step (the final step is always recorded); reservoir
   /// and energy integration always run every step.
   int sample_stride = 1;

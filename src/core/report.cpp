@@ -82,24 +82,6 @@ void write_field_csv(std::ostream& os, const numerics::Grid2<double>& field, dou
   }
 }
 
-void write_series_csv(std::ostream& os, const std::vector<std::string>& headers,
-                      const std::vector<std::vector<double>>& columns) {
-  ensure(!columns.empty() && headers.size() == columns.size(),
-         "write_series_csv: header/column mismatch");
-  const std::size_t rows = columns.front().size();
-  for (const auto& column : columns) {
-    ensure(column.size() == rows, "write_series_csv: ragged columns");
-  }
-  for (std::size_t i = 0; i < headers.size(); ++i) {
-    os << headers[i] << (i + 1 < headers.size() ? "," : "\n");
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      os << columns[c][r] << (c + 1 < columns.size() ? "," : "\n");
-    }
-  }
-}
-
 namespace {
 
 /// RFC 4180: quote a cell when it contains a separator, quote or newline.

@@ -29,10 +29,6 @@ void print_ascii_map(std::ostream& os, const numerics::Grid2<double>& field,
 void write_field_csv(std::ostream& os, const numerics::Grid2<double>& field, double width_m,
                      double height_m);
 
-/// Writes series columns: header then rows.
-void write_series_csv(std::ostream& os, const std::vector<std::string>& headers,
-                      const std::vector<std::vector<double>>& columns);
-
 /// Writes a CSV of pre-formatted string cells (header row then data rows).
 /// Cells containing commas, quotes or newlines are quoted per RFC 4180.
 void write_table_csv(std::ostream& os, const std::vector<std::string>& headers,

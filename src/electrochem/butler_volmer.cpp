@@ -89,12 +89,4 @@ double overpotential_for_current(const ButlerVolmerState& state,
   return result.root;
 }
 
-double mass_transport_overpotential(double surface_to_bulk_ratio, int electrons,
-                                    double temperature_k) {
-  ensure_positive(surface_to_bulk_ratio, "surface-to-bulk concentration ratio");
-  ensure_positive(temperature_k, "mass_transport_overpotential temperature");
-  return constants::rt_over_f(temperature_k) / static_cast<double>(electrons) *
-         std::log(surface_to_bulk_ratio);
-}
-
 }  // namespace brightsi::electrochem

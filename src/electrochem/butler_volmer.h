@@ -49,12 +49,6 @@ struct ButlerVolmerState {
 [[nodiscard]] double overpotential_for_current(const ButlerVolmerState& state,
                                                double current_density_a_per_m2);
 
-/// Film-model mass-transport overpotential of eq. (7)/(8): the Nernstian
-/// shift caused by surface depletion, eta_mt = (RT/nF) ln(ratio) with the
-/// sign convention of the paper. Exposed for the analytic model and tests.
-[[nodiscard]] double mass_transport_overpotential(double surface_to_bulk_ratio,
-                                                  int electrons, double temperature_k);
-
 }  // namespace brightsi::electrochem
 
 #endif  // BRIGHTSI_ELECTROCHEM_BUTLER_VOLMER_H

@@ -18,10 +18,6 @@ inline constexpr double celsius_offset_k = 273.15;
   return gas_constant_j_per_mol_k * temperature_k / faraday_c_per_mol;
 }
 
-[[nodiscard]] inline double celsius_to_kelvin(double celsius) {
-  return celsius + celsius_offset_k;
-}
-
 [[nodiscard]] inline double kelvin_to_celsius(double kelvin) {
   return kelvin - celsius_offset_k;
 }

@@ -1,10 +1,8 @@
 #include "flowcell/cell_array.h"
 
-#include <cmath>
 
 #include "electrochem/nernst.h"
 #include "numerics/contracts.h"
-#include "numerics/root_finding.h"
 
 namespace brightsi::flowcell {
 
@@ -47,62 +45,6 @@ double FlowCellArray::current_at_voltage(double cell_voltage_v,
   const ChannelSolution sol =
       channel_model_->solve_at_voltage(cell_voltage_v, make_conditions(shared_profile));
   return sol.current_a * spec_.channel_count;
-}
-
-double FlowCellArray::current_at_voltage_per_channel(
-    double cell_voltage_v, const std::vector<std::vector<double>>& per_channel_profiles) const {
-  ensure(static_cast<int>(per_channel_profiles.size()) == spec_.channel_count,
-         "per-channel profile count must equal channel count");
-  double total = 0.0;
-  for (const auto& profile : per_channel_profiles) {
-    total += channel_model_->solve_at_voltage(cell_voltage_v, make_conditions(profile)).current_a;
-  }
-  return total;
-}
-
-PolarizationCurve FlowCellArray::sweep(double min_voltage_v, int point_count,
-                                       const std::vector<double>& shared_profile) const {
-  ensure(point_count >= 2, "array sweep needs at least two points");
-  const ChannelOperatingConditions conditions = make_conditions(shared_profile);
-  const double ocv = channel_model_->open_circuit_voltage(conditions);
-  ensure(min_voltage_v < ocv, "array sweep: min voltage must be below OCV");
-
-  const double v_start = ocv - 1e-4;
-  std::vector<PolarizationPoint> points;
-  points.reserve(static_cast<std::size_t>(point_count));
-  const double electrode_area =
-      spec_.geometry.projected_electrode_area_m2() * spec_.channel_count;
-  for (int k = 0; k < point_count; ++k) {
-    const double v =
-        v_start + (min_voltage_v - v_start) * static_cast<double>(k) / (point_count - 1);
-    const ChannelSolution sol = channel_model_->solve_at_voltage(v, conditions);
-    const double current = sol.current_a * spec_.channel_count;
-    points.push_back({v, current, current / electrode_area, current * v});
-  }
-  return PolarizationCurve(std::move(points));
-}
-
-double FlowCellArray::voltage_at_current(double target_current_a, double min_voltage_v,
-                                         const std::vector<double>& shared_profile) const {
-  ensure_positive(target_current_a, "target current");
-  const ChannelOperatingConditions conditions = make_conditions(shared_profile);
-  const double ocv = channel_model_->open_circuit_voltage(conditions);
-
-  auto residual = [&](double v) {
-    return channel_model_->solve_at_voltage(v, conditions).current_a * spec_.channel_count -
-           target_current_a;
-  };
-  const double hi = ocv - 1e-4;
-  if (residual(hi) >= 0.0) {
-    return hi;  // target met even at (essentially) open circuit
-  }
-  if (residual(min_voltage_v) < 0.0) {
-    throw std::runtime_error(
-        "FlowCellArray::voltage_at_current: target exceeds array capability");
-  }
-  const auto root = numerics::find_root_brent(residual, min_voltage_v, hi, 1e-6,
-                                              1e-4 * target_current_a, 64);
-  return root.root;
 }
 
 double FlowCellArray::open_circuit_voltage() const {

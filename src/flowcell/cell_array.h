@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "flowcell/channel_model.h"
-#include "flowcell/polarization.h"
 
 namespace brightsi::flowcell {
 
@@ -47,21 +46,6 @@ class FlowCellArray {
   [[nodiscard]] double current_at_voltage(
       double cell_voltage_v,
       const std::vector<double>& shared_temperature_profile = {}) const;
-
-  /// Per-channel temperature profiles (size must equal channel_count);
-  /// solves each channel and sums.
-  [[nodiscard]] double current_at_voltage_per_channel(
-      double cell_voltage_v, const std::vector<std::vector<double>>& per_channel_profiles) const;
-
-  /// Array polarization sweep (uniform conditions).
-  [[nodiscard]] PolarizationCurve sweep(double min_voltage_v, int point_count,
-                                        const std::vector<double>& shared_temperature_profile = {}) const;
-
-  /// Voltage at which the array sources `target_current_a` (Brent solve on
-  /// the monotone V->I map). Throws when the target exceeds the array's
-  /// capability above `min_voltage_v`.
-  [[nodiscard]] double voltage_at_current(double target_current_a, double min_voltage_v = 0.05,
-                                          const std::vector<double>& shared_temperature_profile = {}) const;
 
   [[nodiscard]] double open_circuit_voltage() const;
   [[nodiscard]] const ArraySpec& spec() const { return spec_; }

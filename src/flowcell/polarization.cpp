@@ -1,7 +1,6 @@
 #include "flowcell/polarization.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "numerics/contracts.h"
 
@@ -16,56 +15,12 @@ PolarizationCurve::PolarizationCurve(std::vector<PolarizationPoint> points)
   }
 }
 
-double PolarizationCurve::current_at_voltage(double v) const {
-  ensure(!points_.empty(), "empty polarization curve");
-  if (v >= points_.front().cell_voltage_v) {
-    return points_.front().current_a;
-  }
-  if (v <= points_.back().cell_voltage_v) {
-    return points_.back().current_a;
-  }
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    if (v >= points_[i].cell_voltage_v) {
-      const double v0 = points_[i - 1].cell_voltage_v;
-      const double v1 = points_[i].cell_voltage_v;
-      const double t = (v - v0) / (v1 - v0);
-      return points_[i - 1].current_a + t * (points_[i].current_a - points_[i - 1].current_a);
-    }
-  }
-  return points_.back().current_a;
-}
-
-double PolarizationCurve::voltage_at_current(double current_a) const {
-  ensure(!points_.empty(), "empty polarization curve");
-  if (current_a <= points_.front().current_a) {
-    return points_.front().cell_voltage_v;
-  }
-  if (current_a >= points_.back().current_a) {
-    return points_.back().cell_voltage_v;
-  }
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    if (current_a <= points_[i].current_a) {
-      const double i0 = points_[i - 1].current_a;
-      const double i1 = points_[i].current_a;
-      const double t = (i1 == i0) ? 0.0 : (current_a - i0) / (i1 - i0);
-      return points_[i - 1].cell_voltage_v +
-             t * (points_[i].cell_voltage_v - points_[i - 1].cell_voltage_v);
-    }
-  }
-  return points_.back().cell_voltage_v;
-}
-
 PolarizationPoint PolarizationCurve::max_power_point() const {
   ensure(!points_.empty(), "empty polarization curve");
   return *std::max_element(points_.begin(), points_.end(),
                            [](const PolarizationPoint& a, const PolarizationPoint& b) {
                              return a.power_w < b.power_w;
                            });
-}
-
-double PolarizationCurve::open_circuit_estimate_v() const {
-  ensure(!points_.empty(), "empty polarization curve");
-  return points_.front().cell_voltage_v;
 }
 
 PolarizationCurve sweep_polarization(const ChannelModel& model,

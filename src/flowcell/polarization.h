@@ -1,4 +1,4 @@
-// Polarization curves (cell voltage vs current) and operating-point queries
+// Polarization curves (cell voltage vs current) and their maximum-power point
 // on top of any channel model. This is the quantity the paper validates in
 // Fig. 3 and reports for the array in Fig. 7.
 #ifndef BRIGHTSI_FLOWCELL_POLARIZATION_H
@@ -28,14 +28,8 @@ class PolarizationCurve {
   [[nodiscard]] const std::vector<PolarizationPoint>& points() const { return points_; }
   [[nodiscard]] bool empty() const { return points_.empty(); }
 
-  /// Linear interpolation of current at a voltage inside the sweep range.
-  [[nodiscard]] double current_at_voltage(double v) const;
-  /// Linear interpolation of voltage at a current inside the sweep range.
-  [[nodiscard]] double voltage_at_current(double current_a) const;
   /// The maximum-power sample of the sweep.
   [[nodiscard]] PolarizationPoint max_power_point() const;
-  /// Highest swept voltage (lowest-current end of the curve).
-  [[nodiscard]] double open_circuit_estimate_v() const;
 
  private:
   std::vector<PolarizationPoint> points_;

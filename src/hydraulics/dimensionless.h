@@ -6,40 +6,11 @@
 
 namespace brightsi::hydraulics {
 
-/// Re = rho v L / mu.
-[[nodiscard]] inline double reynolds_number(double density, double velocity,
-                                            double characteristic_length, double viscosity) {
-  ensure_positive(viscosity, "viscosity");
-  return density * velocity * characteristic_length / viscosity;
-}
-
-/// Sc = mu / (rho D).
-[[nodiscard]] inline double schmidt_number(double viscosity, double density,
-                                           double diffusivity) {
-  ensure_positive(density, "density");
-  ensure_positive(diffusivity, "diffusivity");
-  return viscosity / (density * diffusivity);
-}
-
 /// Mass-transfer Peclet number Pe = v L / D.
 [[nodiscard]] inline double peclet_mass(double velocity, double characteristic_length,
                                         double diffusivity) {
   ensure_positive(diffusivity, "diffusivity");
   return velocity * characteristic_length / diffusivity;
-}
-
-/// Pr = mu cp / k with cp volumetric (J/m^3 K): Pr = mu * cp_vol / (rho k).
-[[nodiscard]] inline double prandtl_number(double viscosity, double volumetric_heat_capacity,
-                                           double density, double thermal_conductivity) {
-  ensure_positive(density, "density");
-  ensure_positive(thermal_conductivity, "thermal conductivity");
-  return viscosity * volumetric_heat_capacity / (density * thermal_conductivity);
-}
-
-/// Laminar hydrodynamic entrance length ~ 0.05 Re Dh.
-[[nodiscard]] inline double hydrodynamic_entrance_length(double reynolds,
-                                                         double hydraulic_diameter) {
-  return 0.05 * reynolds * hydraulic_diameter;
 }
 
 /// Concentration boundary-layer thickness of the Leveque/plug film model at

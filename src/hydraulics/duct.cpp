@@ -11,17 +11,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-/// cosh(x)/cosh(x_max) evaluated without overflow for large arguments.
-double cosh_ratio(double x, double x_max) {
-  x = std::abs(x);
-  x_max = std::abs(x_max);
-  if (x_max < 30.0) {
-    return std::cosh(x) / std::cosh(x_max);
-  }
-  // cosh(x)/cosh(xm) = e^{x-xm} (1+e^{-2x}) / (1+e^{-2xm})
-  return std::exp(x - x_max) * (1.0 + std::exp(-2.0 * x)) / (1.0 + std::exp(-2.0 * x_max));
-}
-
 /// Shah & London fully developed laminar Nusselt numbers, H1 boundary
 /// condition (four walls heated), indexed by aspect ratio min/max.
 const numerics::PiecewiseLinearTable& nusselt_h1_table() {
@@ -114,18 +103,6 @@ DuctVelocityProfile::DuctVelocityProfile(const RectangularDuct& duct, int series
   normalization_ = 1.0 / mean_raw;
 }
 
-double DuctVelocityProfile::raw_at(double y_centered, double z_centered) const {
-  double sum = 0.0;
-  for (int t = 0; t < terms_; ++t) {
-    const int i = 2 * t + 1;
-    const double k = static_cast<double>(i) * kPi / (2.0 * half_width_);
-    const double sign = (t % 2 == 0) ? 1.0 : -1.0;
-    const double z_term = 1.0 - cosh_ratio(k * z_centered, k * half_height_);
-    sum += sign * z_term * std::cos(k * y_centered) / (static_cast<double>(i) * i * i);
-  }
-  return sum;
-}
-
 double DuctVelocityProfile::raw_depth_averaged(double y_centered) const {
   double sum = 0.0;
   for (int t = 0; t < terms_; ++t) {
@@ -136,28 +113,9 @@ double DuctVelocityProfile::raw_depth_averaged(double y_centered) const {
   return sum;
 }
 
-double DuctVelocityProfile::normalized_at(double y_m, double z_m) const {
-  ensure(y_m >= 0.0 && y_m <= 2.0 * half_width_, "DuctVelocityProfile: y outside duct");
-  ensure(z_m >= 0.0 && z_m <= 2.0 * half_height_, "DuctVelocityProfile: z outside duct");
-  // The raw_at series mean over the cross-section differs from the
-  // depth-averaged mean only through z-integration, which the bracket in
-  // the depth-averaged coefficients performs exactly; normalization_ was
-  // derived for the depth-averaged series and applies to both because
-  // raw_depth_averaged(y) == (1/2b) \int raw_at(y, z) dz by construction.
-  return std::max(0.0, raw_at(y_m - half_width_, z_m - half_height_)) * normalization_;
-}
-
 double DuctVelocityProfile::depth_averaged(double y_m) const {
   ensure(y_m >= 0.0 && y_m <= 2.0 * half_width_, "DuctVelocityProfile: y outside duct");
   return std::max(0.0, raw_depth_averaged(y_m - half_width_)) * normalization_;
-}
-
-double DuctVelocityProfile::max_over_mean() const {
-  return raw_at(0.0, 0.0) * normalization_ /
-         // depth-averaged normalization vs pointwise: the centerline value
-         // uses the full 2-D series, whose mean equals the depth-averaged
-         // mean, so the same normalization applies.
-         1.0;
 }
 
 }  // namespace brightsi::hydraulics

@@ -66,23 +66,17 @@ class RectangularDuct {
 };
 
 /// Exact rectangular-duct Poiseuille profile (cosh/cos double series),
-/// normalized so the cross-section mean is 1. Coordinates are measured from
-/// one corner: y in [0, width], z in [0, height].
+/// averaged over the duct depth and normalized so the cross-section mean
+/// is 1. y is measured from one side wall: y in [0, width].
 class DuctVelocityProfile {
  public:
   /// `series_terms` odd terms are used (51 is plenty for <1e-10 error at
   /// the aspect ratios of this project).
   explicit DuctVelocityProfile(const RectangularDuct& duct, int series_terms = 51);
 
-  /// u(y, z) / v_mean.
-  [[nodiscard]] double normalized_at(double y_m, double z_m) const;
-
   /// Depth-averaged profile (1/H) \int u dz / v_mean as a function of y.
   /// This is the 1-D profile the co-laminar FVM transports against.
   [[nodiscard]] double depth_averaged(double y_m) const;
-
-  /// Peak-to-mean velocity ratio (2.096 for a square duct, 1.5 for plates).
-  [[nodiscard]] double max_over_mean() const;
 
  private:
   double half_width_;   // a: y in [-a, a] internally
@@ -91,7 +85,6 @@ class DuctVelocityProfile {
   double normalization_ = 1.0;          // converts raw series to mean-1 units
   std::vector<double> depth_avg_coeff_; // per odd term, for depth_averaged()
 
-  [[nodiscard]] double raw_at(double y_centered, double z_centered) const;
   [[nodiscard]] double raw_depth_averaged(double y_centered) const;
 };
 

@@ -72,42 +72,6 @@ GroupSplit solve_equal_pressure(double total_flow_m3_per_s,
 
 }  // namespace
 
-ManifoldSplit split_by_conductance(double total_flow_m3_per_s,
-                                   std::span<const RectangularDuct> ducts,
-                                   double dynamic_viscosity_pa_s) {
-  ensure(!ducts.empty(), "split_by_conductance: no channels");
-  ensure_non_negative(total_flow_m3_per_s, "total flow");
-  double total_conductance = 0.0;
-  std::vector<double> conductances;
-  conductances.reserve(ducts.size());
-  for (const RectangularDuct& d : ducts) {
-    const double g = d.hydraulic_conductance(dynamic_viscosity_pa_s);
-    // A degenerate duct (infinite viscosity, zero geometry) must read as
-    // blocked — zero flow — not feed a NaN/inf into the dp division.
-    ensure(std::isfinite(g) && g >= 0.0,
-           "split_by_conductance: conductance must be finite and non-negative");
-    conductances.push_back(g);
-    total_conductance += g;
-  }
-  ensure(total_conductance > 0.0,
-         "split_by_conductance: zero total conductance (every channel blocked)");
-
-  ManifoldSplit split;
-  split.common_pressure_drop_pa = total_flow_m3_per_s / total_conductance;
-  split.per_channel_flow_m3_per_s.reserve(ducts.size());
-  for (const double g : conductances) {
-    split.per_channel_flow_m3_per_s.push_back(g * split.common_pressure_drop_pa);
-  }
-  return split;
-}
-
-std::vector<double> split_uniform(double total_flow_m3_per_s, int channel_count) {
-  ensure(channel_count > 0, "split_uniform: channel count must be positive");
-  ensure_non_negative(total_flow_m3_per_s, "total flow");
-  return std::vector<double>(static_cast<std::size_t>(channel_count),
-                             total_flow_m3_per_s / channel_count);
-}
-
 double ParallelBranch::conductance(double dynamic_viscosity_pa_s) const {
   double total = 0.0;
   for (const ParallelChannelGroup& group : groups) {

@@ -1,8 +1,8 @@
-// Flow distribution across a parallel microchannel array fed from common
-// inlet/outlet plena. For identical channels the split is uniform; for
-// heterogeneous channels (e.g. blocked or resized ones in failure-injection
-// studies) the split follows the laminar hydraulic conductances, since all
-// channels see the same plenum-to-plenum pressure difference.
+// Flow distribution across parallel microchannel groups fed from common
+// inlet/outlet plena. The split follows the laminar hydraulic conductances
+// (identical groups split uniformly; blocked or resized ones in
+// failure-injection studies shift flow to the rest), since all groups see
+// the same plenum-to-plenum pressure difference.
 #ifndef BRIGHTSI_HYDRAULICS_MANIFOLD_H
 #define BRIGHTSI_HYDRAULICS_MANIFOLD_H
 
@@ -13,21 +13,6 @@
 #include "hydraulics/duct.h"
 
 namespace brightsi::hydraulics {
-
-/// Result of distributing a total flow over parallel channels.
-struct ManifoldSplit {
-  std::vector<double> per_channel_flow_m3_per_s;
-  double common_pressure_drop_pa = 0.0;
-};
-
-/// Splits `total_flow` across `ducts` (all seeing the same dp). Throws when
-/// `ducts` is empty or the flow is negative.
-[[nodiscard]] ManifoldSplit split_by_conductance(double total_flow_m3_per_s,
-                                                 std::span<const RectangularDuct> ducts,
-                                                 double dynamic_viscosity_pa_s);
-
-/// Uniform split across `channel_count` identical channels.
-[[nodiscard]] std::vector<double> split_uniform(double total_flow_m3_per_s, int channel_count);
 
 /// A group of `channel_count` identical parallel ducts — one microchannel
 /// layer of a 3D stack, fed from the same inlet/outlet plena as every

@@ -13,12 +13,4 @@ double pumping_power_w(double delta_p_pa, double volumetric_flow_m3_per_s,
   return delta_p_pa * volumetric_flow_m3_per_s / pump_efficiency;
 }
 
-double minor_loss_pa(double loss_coefficient, double density_kg_per_m3,
-                     double velocity_m_per_s) {
-  ensure_non_negative(loss_coefficient, "loss coefficient");
-  ensure_positive(density_kg_per_m3, "density");
-  ensure_non_negative(velocity_m_per_s, "velocity");
-  return loss_coefficient * density_kg_per_m3 * velocity_m_per_s * velocity_m_per_s / 2.0;
-}
-
 }  // namespace brightsi::hydraulics

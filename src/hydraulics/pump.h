@@ -1,6 +1,5 @@
 // Pumping power (paper Section III-B): P = dp * Vdot / eta_p with the 50 %
-// pump efficiency the paper assumes, plus optional minor (inlet/outlet
-// plenum) losses.
+// pump efficiency the paper assumes.
 #ifndef BRIGHTSI_HYDRAULICS_PUMP_H
 #define BRIGHTSI_HYDRAULICS_PUMP_H
 
@@ -10,12 +9,6 @@ namespace brightsi::hydraulics {
 /// `volumetric_flow` (m^3/s) with pump efficiency in (0, 1].
 [[nodiscard]] double pumping_power_w(double delta_p_pa, double volumetric_flow_m3_per_s,
                                      double pump_efficiency);
-
-/// Minor loss dp = K * rho v^2 / 2 for a loss coefficient K (entrance,
-/// exit, manifold turns). Used to model the plenum contributions that pure
-/// straight-channel Darcy-Weisbach misses.
-[[nodiscard]] double minor_loss_pa(double loss_coefficient, double density_kg_per_m3,
-                                   double velocity_m_per_s);
 
 }  // namespace brightsi::hydraulics
 

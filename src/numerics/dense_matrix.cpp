@@ -13,14 +13,6 @@ DenseMatrix::DenseMatrix(int rows, int cols, double fill)
   ensure(rows > 0 && cols > 0, "DenseMatrix dimensions must be positive");
 }
 
-DenseMatrix DenseMatrix::identity(int n) {
-  DenseMatrix m(n, n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    m.at(i, i) = 1.0;
-  }
-  return m;
-}
-
 double& DenseMatrix::at(int r, int c) {
   ensure(r >= 0 && r < rows_ && c >= 0 && c < cols_, "DenseMatrix::at out of range");
   return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
@@ -43,23 +35,6 @@ void DenseMatrix::multiply(std::span<const double> x, std::span<double> y) const
     }
     y[static_cast<std::size_t>(r)] = sum;
   }
-}
-
-DenseMatrix DenseMatrix::multiply(const DenseMatrix& other) const {
-  ensure(cols_ == other.rows_, "DenseMatrix::multiply inner dimension mismatch");
-  DenseMatrix out(rows_, other.cols_, 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    for (int k = 0; k < cols_; ++k) {
-      const double a_rk = at(r, k);
-      if (a_rk == 0.0) {
-        continue;
-      }
-      for (int c = 0; c < other.cols_; ++c) {
-        out.at(r, c) += a_rk * other.at(k, c);
-      }
-    }
-  }
-  return out;
 }
 
 LuFactorization::LuFactorization(const DenseMatrix& a) {
@@ -94,7 +69,6 @@ LuFactorization::LuFactorization(const DenseMatrix& a) {
     }
     pivots_[static_cast<std::size_t>(k)] = pivot_row;
     if (pivot_row != k) {
-      permutation_sign_ = -permutation_sign_;
       for (int c = 0; c < n_; ++c) {
         std::swap(entry(k, c), entry(pivot_row, c));
       }
@@ -137,15 +111,6 @@ void LuFactorization::solve(std::span<const double> b, std::span<double> x) cons
     }
     x[static_cast<std::size_t>(r)] = sum / entry(r, r);
   }
-}
-
-double LuFactorization::determinant() const {
-  double det = permutation_sign_;
-  for (int k = 0; k < n_; ++k) {
-    det *= lu_[static_cast<std::size_t>(k) * static_cast<std::size_t>(n_) +
-               static_cast<std::size_t>(k)];
-  }
-  return det;
 }
 
 std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b) {

@@ -17,9 +17,6 @@ class DenseMatrix {
   DenseMatrix() = default;
   DenseMatrix(int rows, int cols, double fill = 0.0);
 
-  /// Identity of dimension n.
-  static DenseMatrix identity(int n);
-
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cols() const { return cols_; }
 
@@ -28,9 +25,6 @@ class DenseMatrix {
 
   /// y = A * x (sizes checked).
   void multiply(std::span<const double> x, std::span<double> y) const;
-
-  /// Returns A * B.
-  [[nodiscard]] DenseMatrix multiply(const DenseMatrix& other) const;
 
  private:
   int rows_ = 0;
@@ -47,14 +41,10 @@ class LuFactorization {
   /// Solves A x = b. b and x may alias.
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// Determinant of A (product of pivots with sign).
-  [[nodiscard]] double determinant() const;
-
  private:
   int n_ = 0;
   std::vector<double> lu_;      // packed L\U, row-major
   std::vector<int> pivots_;     // row permutation
-  int permutation_sign_ = 1;
 };
 
 /// Convenience: solve a dense system in one call.

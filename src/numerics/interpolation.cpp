@@ -44,45 +44,4 @@ double PiecewiseLinearTable::evaluate(double x) const {
   return ys_[lo] + t * (ys_[hi] - ys_[lo]);
 }
 
-double PiecewiseLinearTable::inverse(double y) const {
-  ensure(!ys_.empty(), "PiecewiseLinearTable is empty");
-  const bool increasing = ys_.back() > ys_.front();
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    const bool step_up = ys_[i] > ys_[i - 1];
-    if (step_up != increasing || ys_[i] == ys_[i - 1]) {
-      throw std::runtime_error("PiecewiseLinearTable::inverse requires strictly monotone ys");
-    }
-  }
-  const double y_lo = increasing ? ys_.front() : ys_.back();
-  const double y_hi = increasing ? ys_.back() : ys_.front();
-  if (y < y_lo || y > y_hi) {
-    // Clamp like evaluate() under kClamp; throw otherwise.
-    if (policy_ == ExtrapolationPolicy::kThrow) {
-      throw std::out_of_range("PiecewiseLinearTable::inverse: y outside range");
-    }
-    return (y < y_lo) == increasing ? xs_.front() : xs_.back();
-  }
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    const double a = ys_[i - 1];
-    const double b = ys_[i];
-    const bool inside = increasing ? (y >= a && y <= b) : (y <= a && y >= b);
-    if (inside) {
-      const double t = (b == a) ? 0.0 : (y - a) / (b - a);
-      return xs_[i - 1] + t * (xs_[i] - xs_[i - 1]);
-    }
-  }
-  return xs_.back();
-}
-
-double trapezoid_integral(std::span<const double> xs, std::span<const double> ys) {
-  ensure(xs.size() == ys.size(), "trapezoid_integral size mismatch");
-  ensure(xs.size() >= 2, "trapezoid_integral needs at least two samples");
-  double sum = 0.0;
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    ensure(xs[i] > xs[i - 1], "trapezoid_integral xs must be increasing");
-    sum += 0.5 * (ys[i] + ys[i - 1]) * (xs[i] - xs[i - 1]);
-  }
-  return sum;
-}
-
 }  // namespace brightsi::numerics

@@ -6,7 +6,6 @@
 #ifndef BRIGHTSI_NUMERICS_INTERPOLATION_H
 #define BRIGHTSI_NUMERICS_INTERPOLATION_H
 
-#include <span>
 #include <vector>
 
 namespace brightsi::numerics {
@@ -35,19 +34,11 @@ class PiecewiseLinearTable {
   [[nodiscard]] const std::vector<double>& xs() const { return xs_; }
   [[nodiscard]] const std::vector<double>& ys() const { return ys_; }
 
-  /// Inverse query on a strictly monotone table (either direction); solves
-  /// y = value and returns x. Throws when the table is not monotone in y or
-  /// the value is outside the range under kThrow policy semantics.
-  [[nodiscard]] double inverse(double y) const;
-
  private:
   std::vector<double> xs_;
   std::vector<double> ys_;
   ExtrapolationPolicy policy_ = ExtrapolationPolicy::kClamp;
 };
-
-/// Trapezoid-rule integral of samples ys(xs); sizes must match, xs increasing.
-double trapezoid_integral(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace brightsi::numerics
 

@@ -43,21 +43,6 @@ void KrylovWorkspace::resize(std::size_t n) {
   }
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
-  inverse_diagonal_ = a.diagonal();
-  for (double& d : inverse_diagonal_) {
-    d = (d != 0.0) ? 1.0 / d : 1.0;
-  }
-}
-
-void JacobiPreconditioner::apply(std::span<const double> r, std::span<double> z) const {
-  ensure(r.size() == inverse_diagonal_.size() && z.size() == r.size(),
-         "JacobiPreconditioner::apply size mismatch");
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    z[i] = r[i] * inverse_diagonal_[i];
-  }
-}
-
 Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) {
   ensure(a.rows() == a.cols(), "Ilu0Preconditioner requires a square matrix");
   n_ = a.rows();

@@ -4,7 +4,7 @@
 //  * solve_cg        — conjugate gradients, for symmetric positive definite A
 //  * solve_bicgstab  — BiCGSTAB, for general nonsymmetric A
 //
-// Both accept an optional preconditioner (Jacobi or ILU(0)); both return the
+// Both accept an optional preconditioner (ILU(0) or multigrid); both return the
 // iteration count and final residual so callers can assert convergence.
 #ifndef BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
 #define BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
@@ -54,16 +54,6 @@ class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
   virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
-};
-
-/// Diagonal (Jacobi) preconditioner. Zero diagonal entries pass through.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-  void apply(std::span<const double> r, std::span<double> z) const override;
-
- private:
-  std::vector<double> inverse_diagonal_;
 };
 
 /// Incomplete LU factorization with zero fill-in on the sparsity pattern of A.

@@ -10,20 +10,22 @@ namespace brightsi::numerics {
 
 namespace {
 
-/// r = b - A x with the coefficient array supplied separately, so the
-/// mixed-precision path can read the float mirror (promoted to double in
-/// the accumulation) through the same kernel.
-template <typename ValueT>
-void residual_kernel(const std::vector<int>& offsets, const std::vector<int>& columns,
-                     const std::vector<ValueT>& values, const std::vector<double>& x,
-                     const std::vector<double>& b, std::vector<double>& r) {
+/// Under-relaxation of the damped-Jacobi smoother.
+constexpr double kJacobiDamping = 0.7;
+
+/// r = b - A x.
+void residual(const CsrMatrix& a, const std::vector<double>& x, const std::vector<double>& b,
+              std::vector<double>& r) {
+  const std::vector<int>& offsets = a.row_offsets();
+  const std::vector<int>& columns = a.column_indices();
+  const std::vector<double>& values = a.values();
   const int n = static_cast<int>(b.size());
   for (int i = 0; i < n; ++i) {
     double sum = b[static_cast<std::size_t>(i)];
     const int begin = offsets[static_cast<std::size_t>(i)];
     const int end = offsets[static_cast<std::size_t>(i) + 1];
     for (int k = begin; k < end; ++k) {
-      sum -= static_cast<double>(values[static_cast<std::size_t>(k)]) *
+      sum -= values[static_cast<std::size_t>(k)] *
              x[static_cast<std::size_t>(columns[static_cast<std::size_t>(k)])];
     }
     r[static_cast<std::size_t>(i)] = sum;
@@ -62,7 +64,6 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& a, int plane_c
   ensure(options_.pre_smooth_sweeps >= 0 && options_.post_smooth_sweeps >= 0 &&
              options_.pre_smooth_sweeps + options_.post_smooth_sweeps > 0,
          "MultigridOptions: need at least one smoothing sweep per cycle");
-  ensure_positive(options_.jacobi_damping, "MultigridOptions jacobi_damping");
   ensure(options_.coarse_sweeps >= 1, "MultigridOptions: coarse_sweeps must be >= 1");
   ensure(options_.max_levels >= 1, "MultigridOptions: max_levels must be >= 1");
   build_hierarchy(a, std::move(z_thicknesses));
@@ -123,7 +124,7 @@ void MultigridPreconditioner::build_hierarchy(const CsrMatrix& a,
     level.x.assign(n, 0.0);
     level.b.assign(n, 0.0);
     level.r.assign(n, 0.0);
-    refresh_level(static_cast<int>(&level - levels_.data()));
+    refresh_level(level);
   }
   Level& coarsest = levels_.back();
   coarsest.t.assign(static_cast<std::size_t>(coarsest.a.rows()), 0.0);
@@ -210,25 +211,20 @@ void MultigridPreconditioner::galerkin_refill(int coarse_level) {
   }
 }
 
-void MultigridPreconditioner::refresh_level(int level_index) {
-  Level& level = levels_[static_cast<std::size_t>(level_index)];
+void MultigridPreconditioner::refresh_level(Level& level) {
   level.inverse_diagonal = level.a.diagonal();
   for (double& d : level.inverse_diagonal) {
     d = (d != 0.0) ? 1.0 / d : 1.0;
-  }
-  if (options_.mixed_precision && level_index > 0) {
-    const std::vector<double>& values = level.a.values();
-    level.values_f32.assign(values.begin(), values.end());
   }
 }
 
 void MultigridPreconditioner::refactor(const CsrMatrix& a) {
   // copy_values_from performs the pattern check (and throws on mismatch).
   levels_.front().a.copy_values_from(a);
-  refresh_level(0);
+  refresh_level(levels_.front());
   for (int l = 1; l < level_count(); ++l) {
     galerkin_refill(l);
-    refresh_level(l);
+    refresh_level(levels_[static_cast<std::size_t>(l)]);
   }
   coarse_ilu_->refactor(levels_.back().a);
 }
@@ -238,26 +234,19 @@ void MultigridPreconditioner::smooth(const Level& level, int sweeps,
   // Damped Jacobi: x += w D^{-1} (b - A x), residual computed against the
   // whole old iterate (two passes), so the sweep is a stationary linear
   // operation regardless of unknown ordering.
-  const bool f32 = options_.mixed_precision && !level.values_f32.empty();
   int sweep = 0;
   if (x_is_zero && sweeps > 0) {
     // With x == 0 the residual is b itself, so the first sweep needs no
     // matvec — same result, one pass over the matrix saved per level.
     for (std::size_t i = 0; i < level.x.size(); ++i) {
-      level.x[i] = options_.jacobi_damping * level.inverse_diagonal[i] * level.b[i];
+      level.x[i] = kJacobiDamping * level.inverse_diagonal[i] * level.b[i];
     }
     sweep = 1;
   }
   for (; sweep < sweeps; ++sweep) {
-    if (f32) {
-      residual_kernel(level.a.row_offsets(), level.a.column_indices(), level.values_f32,
-                      level.x, level.b, level.r);
-    } else {
-      residual_kernel(level.a.row_offsets(), level.a.column_indices(), level.a.values(),
-                      level.x, level.b, level.r);
-    }
+    residual(level.a, level.x, level.b, level.r);
     for (std::size_t i = 0; i < level.x.size(); ++i) {
-      level.x[i] += options_.jacobi_damping * level.inverse_diagonal[i] * level.r[i];
+      level.x[i] += kJacobiDamping * level.inverse_diagonal[i] * level.r[i];
     }
   }
 }
@@ -265,14 +254,7 @@ void MultigridPreconditioner::smooth(const Level& level, int sweeps,
 void MultigridPreconditioner::residual_to_coarse(int fine_level) const {
   const Level& fine = levels_[static_cast<std::size_t>(fine_level)];
   const Level& coarse = levels_[static_cast<std::size_t>(fine_level) + 1];
-  const bool f32 = options_.mixed_precision && !fine.values_f32.empty();
-  if (f32) {
-    residual_kernel(fine.a.row_offsets(), fine.a.column_indices(), fine.values_f32, fine.x,
-                    fine.b, fine.r);
-  } else {
-    residual_kernel(fine.a.row_offsets(), fine.a.column_indices(), fine.a.values(), fine.x,
-                    fine.b, fine.r);
-  }
+  residual(fine.a, fine.x, fine.b, fine.r);
   std::fill(coarse.b.begin(), coarse.b.end(), 0.0);
   for (int fz = 0; fz < fine.z; ++fz) {
     const ZInterpolation& w = fine.z_interp[static_cast<std::size_t>(fz)];
@@ -311,8 +293,7 @@ void MultigridPreconditioner::coarse_solve() const {
   const Level& level = levels_.back();
   coarse_ilu_->apply(level.b, level.x);
   for (int sweep = 1; sweep < options_.coarse_sweeps; ++sweep) {
-    residual_kernel(level.a.row_offsets(), level.a.column_indices(), level.a.values(),
-                    level.x, level.b, level.r);
+    residual(level.a, level.x, level.b, level.r);
     coarse_ilu_->apply(level.r, level.t);
     for (std::size_t i = 0; i < level.x.size(); ++i) {
       level.x[i] += level.t[i];

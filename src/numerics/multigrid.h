@@ -45,7 +45,6 @@ namespace brightsi::numerics {
 struct MultigridOptions {
   int pre_smooth_sweeps = 1;        ///< damped-Jacobi sweeps before coarsening
   int post_smooth_sweeps = 1;       ///< ... and after the coarse correction
-  double jacobi_damping = 0.7;      ///< under-relaxation of the Jacobi smoother
   /// ILU(0) iterative-refinement sweeps on the coarsest level (a fixed
   /// count keeps the cycle a stationary linear operator).
   int coarse_sweeps = 4;
@@ -60,13 +59,6 @@ struct MultigridOptions {
   /// essentially independent of stack height. Raise the cap to study
   /// textbook full coarsening.
   int max_levels = 5;
-  /// Store the coarse-level (level >= 1) operators and transfer weights in
-  /// single precision: the inner cycle reads float coefficients (promoted
-  /// to double in the accumulations) while the outer Krylov iteration
-  /// stays in double. Halves the hierarchy's memory traffic; the
-  /// preconditioner is still a fixed linear operator, just a slightly
-  /// different one, so outer results agree within solver tolerance.
-  bool mixed_precision = false;
 
   friend bool operator==(const MultigridOptions&, const MultigridOptions&) = default;
 };
@@ -114,7 +106,6 @@ class MultigridPreconditioner final : public Preconditioner {
  private:
   struct Level {
     CsrMatrix a;                        // Galerkin operator of this level
-    std::vector<float> values_f32;      // mixed precision: level >= 1 coefficients
     std::vector<double> inverse_diagonal;
     std::vector<ZInterpolation> z_interp;  // this level's slices -> level+1
     int z = 0;                          // z-slices on this level
@@ -130,7 +121,7 @@ class MultigridPreconditioner final : public Preconditioner {
   void build_hierarchy(const CsrMatrix& a, std::vector<double> z_thicknesses);
   void galerkin_fill(int coarse_level);    // build: RAP via triplet stamping
   void galerkin_refill(int coarse_level);  // refactor: RAP via the slot plan
-  void refresh_level(int level);           // diagonals + f32 mirror
+  static void refresh_level(Level& level);  // Jacobi inverse diagonal
   /// x += w D^-1 (b - A x); `x_is_zero` skips the first residual matvec
   /// (r == b when x == 0), which is bit-identical and one pass cheaper.
   void smooth(const Level& level, int sweeps, bool x_is_zero = false) const;

@@ -169,32 +169,6 @@ RootResult find_root_newton(FDF&& fdf, double x0, double x_tolerance = 1e-12,
   return result;
 }
 
-/// Expands [a, b] geometrically around the seed interval until f changes
-/// sign; returns the bracket. Throws when no sign change is found within
-/// `max_expansions` doublings.
-template <typename F>
-std::pair<double, double> bracket_root(F&& f, double a, double b, int max_expansions = 60) {
-  if (a > b) {
-    std::swap(a, b);
-  }
-  double fa = f(a);
-  double fb = f(b);
-  for (int i = 0; i < max_expansions; ++i) {
-    if ((fa > 0.0) != (fb > 0.0) || fa == 0.0 || fb == 0.0) {
-      return {a, b};
-    }
-    const double width = b - a;
-    if (std::abs(fa) < std::abs(fb)) {
-      a -= width;
-      fa = f(a);
-    } else {
-      b += width;
-      fb = f(b);
-    }
-  }
-  throw std::runtime_error("bracket_root: no sign change found");
-}
-
 }  // namespace brightsi::numerics
 
 #endif  // BRIGHTSI_NUMERICS_ROOT_FINDING_H

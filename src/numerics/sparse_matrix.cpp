@@ -181,21 +181,4 @@ double CsrMatrix::at(int row, int col) const {
   return 0.0;
 }
 
-bool CsrMatrix::is_symmetric(double tolerance) const {
-  if (rows_ != cols_) {
-    return false;
-  }
-  for (int r = 0; r < rows_; ++r) {
-    const int begin = row_offsets_[static_cast<std::size_t>(r)];
-    const int end = row_offsets_[static_cast<std::size_t>(r) + 1];
-    for (int k = begin; k < end; ++k) {
-      const int c = column_indices_[static_cast<std::size_t>(k)];
-      if (std::abs(values_[static_cast<std::size_t>(k)] - at(c, r)) > tolerance) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace brightsi::numerics

@@ -105,9 +105,6 @@ class CsrMatrix {
   /// stay private: the pattern cannot be modified.
   [[nodiscard]] std::vector<double>& mutable_values() { return values_; }
 
-  /// True when A equals its transpose within `tolerance` (square only).
-  [[nodiscard]] bool is_symmetric(double tolerance = 1e-12) const;
-
  private:
   int rows_ = 0;
   int cols_ = 0;

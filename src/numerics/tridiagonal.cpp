@@ -38,10 +38,4 @@ void TridiagonalSolver::solve(std::span<const double> lower, std::span<const dou
   }
 }
 
-void solve_tridiagonal(std::span<const double> lower, std::span<const double> diag,
-                       std::span<const double> upper, std::span<double> rhs) {
-  TridiagonalSolver solver(diag.size());
-  solver.solve(lower, diag, upper, rhs);
-}
-
 }  // namespace brightsi::numerics

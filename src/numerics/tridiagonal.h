@@ -35,10 +35,6 @@ class TridiagonalSolver {
   std::vector<double> scratch_d_;
 };
 
-/// Convenience one-shot wrapper around TridiagonalSolver.
-void solve_tridiagonal(std::span<const double> lower, std::span<const double> diag,
-                       std::span<const double> upper, std::span<double> rhs);
-
 }  // namespace brightsi::numerics
 
 #endif  // BRIGHTSI_NUMERICS_TRIDIAGONAL_H

@@ -86,12 +86,6 @@ ObjectiveSpec maximize_metric(std::string metric) {
   return spec;
 }
 
-ObjectiveSpec minimize_metric(std::string metric) {
-  ObjectiveSpec spec;
-  spec.terms.push_back({std::move(metric), -1.0});
-  return spec;
-}
-
 ObjectiveTerm parse_objective_term(const std::string& text, double sign) {
   ObjectiveTerm term;
   const auto star = text.find('*');

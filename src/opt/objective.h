@@ -48,9 +48,8 @@ struct ObjectiveSpec {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Single-term conveniences.
+/// Single-term convenience.
 [[nodiscard]] ObjectiveSpec maximize_metric(std::string metric);
-[[nodiscard]] ObjectiveSpec minimize_metric(std::string metric);
 
 /// Parses "metric" or "metric*weight" into a term (weight defaults to 1;
 /// `sign` scales it, -1 for --minimize). Throws std::invalid_argument with

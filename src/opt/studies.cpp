@@ -180,46 +180,39 @@ Study rack_topology_study() {
 const std::vector<StudyDescription>& registered_studies() {
   static const std::vector<StudyDescription> studies = {
       {"channel_geometry",
-       "channel gap/height, flow and inlet-T vs net power under the 360 K cap"},
+       "channel gap/height, flow and inlet-T vs net power under the 360 K cap",
+       channel_geometry_study},
       {"flow_rate",
-       "co-simulated flow x inlet-T operating point; net power vs peak-T Pareto front"},
-      {"vrm_placement",
-       "VRM tap grid and output resistance vs cache-rail integrity"},
+       "co-simulated flow x inlet-T operating point; net power vs peak-T Pareto front",
+       flow_rate_study},
+      {"vrm_placement", "VRM tap grid and output resistance vs cache-rail integrity",
+       vrm_placement_study},
       {"stack_depth",
-       "3D-stack depth: dies x flow x cooling-layer height vs net power under the cap"},
+       "3D-stack depth: dies x flow x cooling-layer height vs net power under the cap",
+       stack_depth_study},
       {"stack_pareto",
-       "full 3D-stack trade space (6 mixed axes); the evolutionary optimizer's home study"},
+       "full 3D-stack trade space (6 mixed axes); the evolutionary optimizer's home study",
+       stack_pareto_study},
       {"rack_geometry",
-       "VRM grid/resistance x channel height x flow through the full co-simulation"},
+       "VRM grid/resistance x channel height x flow through the full co-simulation",
+       rack_geometry_study},
       {"rack_topology",
-       "fleet rack: chips x loops x segments x loop flow, capacity vs pump power"},
+       "fleet rack: chips x loops x segments x loop flow, capacity vs pump power",
+       rack_topology_study},
   };
   return studies;
 }
 
 Study make_registered_study(const std::string& name) {
-  if (name == "channel_geometry") {
-    return channel_geometry_study();
+  std::string names;
+  for (const StudyDescription& study : registered_studies()) {
+    if (study.name == name) {
+      return study.make();
+    }
+    names += (names.empty() ? "" : ", ") + study.name;
   }
-  if (name == "flow_rate") {
-    return flow_rate_study();
-  }
-  if (name == "vrm_placement") {
-    return vrm_placement_study();
-  }
-  if (name == "stack_depth") {
-    return stack_depth_study();
-  }
-  if (name == "stack_pareto") {
-    return stack_pareto_study();
-  }
-  if (name == "rack_geometry") {
-    return rack_geometry_study();
-  }
-  if (name == "rack_topology") {
-    return rack_topology_study();
-  }
-  throw std::invalid_argument("unknown optimization study: " + name);
+  throw std::invalid_argument("unknown optimization study: " + name +
+                              " (expected one of: " + names + ")");
 }
 
 }  // namespace brightsi::opt

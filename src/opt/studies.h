@@ -11,17 +11,19 @@
 
 namespace brightsi::opt {
 
-/// A registry entry: the study name plus a one-line summary for --list.
+/// A registry entry: the study name, a one-line summary for --list and the
+/// factory that builds the study.
 struct StudyDescription {
   std::string name;
   std::string summary;
+  Study (*make)();
 };
 
 /// All registered study names with summaries, in presentation order.
 [[nodiscard]] const std::vector<StudyDescription>& registered_studies();
 
-/// Builds the named study. Throws std::invalid_argument on an unknown
-/// name.
+/// Builds the named study. Throws std::invalid_argument listing the
+/// registered names on an unknown name.
 [[nodiscard]] Study make_registered_study(const std::string& name);
 
 }  // namespace brightsi::opt

@@ -33,14 +33,6 @@ PowerGrid::PowerGrid(PowerGridSpec spec, const chip::Floorplan& floorplan,
   }
 }
 
-double PowerGrid::nominal_load_current_a() const {
-  double total = 0.0;
-  for (const double i : load_current_a_.data()) {
-    total += i;
-  }
-  return total;
-}
-
 int PowerGrid::nearest_node_x(double x_m) const {
   const double pitch = die_width_m_ / spec_.nodes_x;
   const int ix = static_cast<int>(std::floor(x_m / pitch));
@@ -54,36 +46,6 @@ int PowerGrid::nearest_node_y(double y_m) const {
 }
 
 PowerGridSolution PowerGrid::solve(const std::vector<VrmTap>& taps) const {
-  return solve_with_loads(taps, load_current_a_);
-}
-
-PowerGridSolution PowerGrid::solve_constant_power(const std::vector<VrmTap>& taps,
-                                                  int max_iterations,
-                                                  double tolerance_v) const {
-  numerics::Grid2<double> loads = load_current_a_;  // start at nominal
-  PowerGridSolution solution = solve_with_loads(taps, loads);
-  for (int it = 1; it < max_iterations; ++it) {
-    // I_node = P_node / V_node, with P_node = I_nominal * V_nominal.
-    for (int iy = 0; iy < spec_.nodes_y; ++iy) {
-      for (int ix = 0; ix < spec_.nodes_x; ++ix) {
-        const double v = std::max(solution.node_voltage_v(ix, iy), 0.1);
-        loads(ix, iy) = load_current_a_(ix, iy) * spec_.nominal_voltage_v / v;
-      }
-    }
-    const PowerGridSolution next = solve_with_loads(taps, loads);
-    const double change =
-        std::abs(next.min_voltage_v - solution.min_voltage_v) +
-        std::abs(next.mean_voltage_v - solution.mean_voltage_v);
-    solution = next;
-    if (change < tolerance_v) {
-      break;
-    }
-  }
-  return solution;
-}
-
-PowerGridSolution PowerGrid::solve_with_loads(const std::vector<VrmTap>& taps,
-                                              const numerics::Grid2<double>& loads) const {
   ensure(!taps.empty(), "PowerGrid::solve needs at least one VRM tap");
   const int nx = spec_.nodes_x;
   const int ny = spec_.nodes_y;
@@ -121,7 +83,7 @@ PowerGridSolution PowerGrid::solve_with_loads(const std::vector<VrmTap>& taps,
         triplets.add(static_cast<int>(me), static_cast<int>(up), -g_y);
         triplets.add(static_cast<int>(up), static_cast<int>(me), -g_y);
       }
-      rhs[me] -= loads(ix, iy);  // sinks draw current out of the node
+      rhs[me] -= load_current_a_(ix, iy);  // sinks draw current out of the node
     }
   }
 
@@ -161,7 +123,7 @@ PowerGridSolution PowerGrid::solve_with_loads(const std::vector<VrmTap>& taps,
     sum += v;
   }
   out.mean_voltage_v = sum / static_cast<double>(voltages.size());
-  for (const double i : loads.data()) {
+  for (const double i : load_current_a_.data()) {
     out.total_load_current_a += i;
   }
   double max_set_point = 0.0;

@@ -70,19 +70,7 @@ class PowerGrid {
   /// over the nodes each block covers.
   [[nodiscard]] PowerGridSolution solve(const std::vector<VrmTap>& taps) const;
 
-  /// Constant-power loads: iterates I = P / V(node) to a fixed point
-  /// (2-4 iterations in practice).
-  [[nodiscard]] PowerGridSolution solve_constant_power(const std::vector<VrmTap>& taps,
-                                                       int max_iterations = 8,
-                                                       double tolerance_v = 1e-6) const;
-
-  /// Total current the loads draw at the nominal voltage.
-  [[nodiscard]] double nominal_load_current_a() const;
-
   [[nodiscard]] const PowerGridSpec& spec() const { return spec_; }
-  [[nodiscard]] const numerics::Grid2<double>& load_current_map() const {
-    return load_current_a_;
-  }
 
  private:
   PowerGridSpec spec_;
@@ -90,8 +78,6 @@ class PowerGrid {
   double die_height_m_;
   numerics::Grid2<double> load_current_a_;  ///< per-node sink at nominal V
 
-  [[nodiscard]] PowerGridSolution solve_with_loads(
-      const std::vector<VrmTap>& taps, const numerics::Grid2<double>& loads) const;
   [[nodiscard]] int nearest_node_x(double x_m) const;
   [[nodiscard]] int nearest_node_y(double y_m) const;
 };

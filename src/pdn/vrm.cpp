@@ -14,19 +14,4 @@ void VrmSpec::validate() const {
          "VRM input window must be non-empty");
 }
 
-VrmConversion convert_at_bus(const VrmSpec& spec, double output_power_w,
-                             double bus_voltage_v) {
-  spec.validate();
-  ensure_non_negative(output_power_w, "VRM output power");
-  ensure_positive(bus_voltage_v, "bus voltage");
-  VrmConversion c;
-  c.output_power_w = output_power_w;
-  c.input_power_w = output_power_w / spec.efficiency;
-  c.input_current_a = c.input_power_w / bus_voltage_v;
-  c.loss_w = c.input_power_w - c.output_power_w;
-  c.input_in_window = bus_voltage_v >= spec.min_input_voltage_v &&
-                      bus_voltage_v <= spec.max_input_voltage_v;
-  return c;
-}
-
 }  // namespace brightsi::pdn

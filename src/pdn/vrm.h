@@ -26,19 +26,6 @@ struct VrmSpec {
   void validate() const;
 };
 
-/// Input-side demand of the VRM population for a given delivered power.
-struct VrmConversion {
-  double output_power_w = 0.0;
-  double input_power_w = 0.0;   ///< output / efficiency
-  double input_current_a = 0.0; ///< at the bus voltage
-  double loss_w = 0.0;
-  bool input_in_window = true;
-};
-
-/// Computes the conversion at `bus_voltage_v` for `output_power_w`.
-[[nodiscard]] VrmConversion convert_at_bus(const VrmSpec& spec, double output_power_w,
-                                           double bus_voltage_v);
-
 }  // namespace brightsi::pdn
 
 #endif  // BRIGHTSI_PDN_VRM_H

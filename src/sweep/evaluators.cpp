@@ -45,15 +45,12 @@ chip::WorkloadTrace mission_workload(int kind, int repeats) {
 fleet::RackSpec rack_from_scenario(const core::SystemConfig& config,
                                    const ScenarioSpec& scenario) {
   fleet::RackSpec rack = fleet::make_demo_rack(
-      config, static_cast<int>(scenario.get("rack_chips").value_or(4.0)),
-      static_cast<int>(scenario.get("rack_loops").value_or(1.0)),
-      static_cast<int>(scenario.get("rack_segments").value_or(2.0)),
-      scenario.get("rack_hetero").value_or(0.0) != 0.0,
-      static_cast<int>(scenario.get("rack_blocked").value_or(0.0)));
+      config, scenario.get_int("rack_chips", 4), scenario.get_int("rack_loops", 1),
+      scenario.get_int("rack_segments", 2), scenario.get_flag("rack_hetero", false),
+      scenario.get_int("rack_blocked", 0));
   rack.loop_flow_m3_per_s = scenario.get("rack_flow_ml_min").value_or(676.0) * 1e-6 / 60.0;
   rack.loop_inlet_temperature_k = scenario.get("rack_inlet_c").value_or(26.85) + 273.15;
-  rack.coolant_laws.temperature_dependent =
-      scenario.get("coolant_temp_dep").value_or(0.0) != 0.0;
+  rack.coolant_laws.temperature_dependent = scenario.get_flag("coolant_temp_dep", false);
   // Re-price relative to the loop inlet, so the first segment of every loop
   // sees exactly the reference coolant even with the laws enabled.
   rack.coolant_laws.reference_temperature_k = rack.loop_inlet_temperature_k;
@@ -161,8 +158,9 @@ SweepEvaluator rail_integrity_evaluator() {
     const pdn::PowerGrid grid(config.grid_spec, floorplan);
     std::vector<pdn::VrmTap> taps;
     if (const auto per_edge = scenario.get("edge_taps_per_side")) {
-      taps = pdn::make_edge_taps(static_cast<int>(*per_edge), floorplan.die_width(),
-                                 floorplan.die_height(), config.vrm_spec.set_point_v,
+      taps = pdn::make_edge_taps(whole_number_param("edge_taps_per_side", *per_edge),
+                                 floorplan.die_width(), floorplan.die_height(),
+                                 config.vrm_spec.set_point_v,
                                  config.vrm_spec.output_resistance_ohm);
     } else {
       taps = pdn::make_vrm_grid(config.vrm_spec.count_x, config.vrm_spec.count_y,
@@ -193,15 +191,14 @@ SweepEvaluator mission_evaluator() {
                     WorkerState& worker) {
     core::MissionConfig mission;
     mission.system = config;
-    mission.workload = mission_workload(
-        static_cast<int>(scenario.get("workload_kind").value_or(1.0)),
-        static_cast<int>(scenario.get("workload_repeats").value_or(1.0)));
+    mission.workload = mission_workload(scenario.get_int("workload_kind", 1),
+                                        scenario.get_int("workload_repeats", 1));
     mission.reservoir.tank_volume_m3 = scenario.get("tank_ml").value_or(5.0) * 1e-6;
     mission.reservoir.total_vanadium_mol_per_m3 = 2001.0;
     mission.reservoir.chemistry = config.chemistry;
     mission.initial_soc = scenario.get("initial_soc").value_or(0.95);
     mission.dt_s = scenario.get("mission_dt_s").value_or(0.1);
-    mission.transient_backend = scenario.get("transient").value_or(0.0) != 0.0
+    mission.transient_backend = scenario.get_flag("transient", false)
                                     ? thermal::TransientBackend::kRom
                                     : thermal::TransientBackend::kFull;
 
@@ -332,11 +329,10 @@ SweepEvaluator fleet_replay_evaluator() {
                     WorkerState&) {
     const fleet::RackSpec rack = rack_from_scenario(config, scenario);
     fleet::FleetReplayOptions options;
-    options.trace = mission_workload(
-        static_cast<int>(scenario.get("workload_kind").value_or(1.0)),
-        static_cast<int>(scenario.get("workload_repeats").value_or(1.0)));
+    options.trace = mission_workload(scenario.get_int("workload_kind", 1),
+                                     scenario.get_int("workload_repeats", 1));
     options.dt_s = scenario.get("rack_dt_s").value_or(0.05);
-    options.steps = static_cast<int>(scenario.get("rack_steps").value_or(20.0));
+    options.steps = scenario.get_int("rack_steps", 20);
     const fleet::FleetReplayResult result = fleet::replay_fleet_trace(rack, options);
     return std::vector<double>{
         static_cast<double>(rack.chips.size()),
@@ -352,34 +348,32 @@ SweepEvaluator fleet_replay_evaluator() {
   return evaluator;
 }
 
+const std::vector<EvaluatorDescription>& registered_evaluators() {
+  static const std::vector<EvaluatorDescription> evaluators = {
+      {"cosim", "full fixed-point co-simulation", cosim_evaluator},
+      {"array", "isothermal array design point at 1 V", array_power_evaluator},
+      {"array_thermal", "array design point plus a steady thermal solve",
+       array_thermal_evaluator},
+      {"rail", "cache-rail integrity of a VRM tap population", rail_integrity_evaluator},
+      {"mission", "transient mission: tank endurance and supply feasibility",
+       mission_evaluator},
+      {"stack", "3D-stack co-simulation with the interlayer flow split", stack_evaluator},
+      {"fleet", "steady rack on shared coolant loops", fleet_evaluator},
+      {"fleet_replay", "staggered workload replay across a rack", fleet_replay_evaluator},
+  };
+  return evaluators;
+}
+
 SweepEvaluator make_evaluator(const std::string& name) {
-  if (name == "cosim") {
-    return cosim_evaluator();
+  std::string names;
+  for (const EvaluatorDescription& evaluator : registered_evaluators()) {
+    if (evaluator.name == name) {
+      return evaluator.make();
+    }
+    names += (names.empty() ? "" : ", ") + evaluator.name;
   }
-  if (name == "array") {
-    return array_power_evaluator();
-  }
-  if (name == "array_thermal") {
-    return array_thermal_evaluator();
-  }
-  if (name == "rail") {
-    return rail_integrity_evaluator();
-  }
-  if (name == "mission") {
-    return mission_evaluator();
-  }
-  if (name == "stack") {
-    return stack_evaluator();
-  }
-  if (name == "fleet") {
-    return fleet_evaluator();
-  }
-  if (name == "fleet_replay") {
-    return fleet_replay_evaluator();
-  }
-  throw std::invalid_argument("unknown evaluator: " + name +
-                              " (expected cosim, array, array_thermal, rail, mission, "
-                              "stack, fleet or fleet_replay)");
+  throw std::invalid_argument("unknown evaluator: " + name + " (expected one of: " + names +
+                              ")");
 }
 
 }  // namespace brightsi::sweep

@@ -80,9 +80,18 @@ struct SweepEvaluator {
 /// fleet peaks, mean pump power and integrated coolant heat pickup.
 [[nodiscard]] SweepEvaluator fleet_replay_evaluator();
 
-/// Built-in evaluator by name ("cosim", "array", "array_thermal", "rail",
-/// "mission", "stack", "fleet", "fleet_replay"); throws
-/// std::invalid_argument on anything else.
+/// A built-in evaluator: its name, a one-line summary and its factory.
+struct EvaluatorDescription {
+  std::string name;
+  std::string summary;
+  SweepEvaluator (*make)();
+};
+
+/// Every built-in evaluator, in presentation order.
+[[nodiscard]] const std::vector<EvaluatorDescription>& registered_evaluators();
+
+/// Built-in evaluator by name; throws std::invalid_argument listing the
+/// registered names on anything else.
 [[nodiscard]] SweepEvaluator make_evaluator(const std::string& name);
 
 }  // namespace brightsi::sweep

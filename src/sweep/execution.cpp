@@ -44,9 +44,11 @@ void run_worker_pool(std::vector<WorkerState>& workers, std::size_t item_count, 
 
 void sum_worker_caches(const std::vector<WorkerState>& workers, ExecutionStats& stats) {
   stats.model_builds = 0;
+  stats.rail_solves = 0;
   stats.trajectory_hits = 0;
   for (const WorkerState& worker : workers) {
     stats.model_builds += worker.thermal_models.build_count();
+    stats.rail_solves += worker.rails.solve_count();
     stats.trajectory_hits += worker.mission_trajectories.hit_count();
   }
 }

@@ -1,29 +1,11 @@
 #include "sweep/plan.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace brightsi::sweep {
 
-std::string format_value(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
 void SweepPlan::add(ScenarioSpec scenario) {
   scenarios.push_back(std::move(scenario));
-}
-
-void SweepPlan::add_list(const std::string& param, const std::vector<double>& values,
-                         const std::string& name_prefix) {
-  for (const double value : values) {
-    ScenarioSpec scenario;
-    scenario.name = name_prefix.empty() ? param + "=" + format_value(value)
-                                        : name_prefix + " " + format_value(value);
-    scenario.set(param, value);
-    scenarios.push_back(std::move(scenario));
-  }
 }
 
 void SweepPlan::add_grid(const std::vector<GridAxis>& axes,

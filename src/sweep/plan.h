@@ -28,12 +28,6 @@ struct SweepPlan {
   /// Appends one fully-specified scenario.
   void add(ScenarioSpec scenario);
 
-  /// Appends one scenario per value of `param` (a 1-D list sweep). Scenario
-  /// names are auto-generated as "param=value" unless `name_prefix` is set,
-  /// in which case they become "<name_prefix> value".
-  void add_list(const std::string& param, const std::vector<double>& values,
-                const std::string& name_prefix = "");
-
   /// Appends the full cartesian product of the axes (row-major: the last
   /// axis varies fastest), auto-naming each scenario from its coordinates.
   /// `common` overrides are prepended to every expanded scenario.
@@ -45,10 +39,6 @@ struct SweepPlan {
   /// first invalid scenario.
   void validate() const;
 };
-
-/// Formats a value the way auto-generated scenario names do (shortest
-/// round-trip, e.g. "676", "0.5").
-[[nodiscard]] std::string format_value(double value);
 
 }  // namespace brightsi::sweep
 

@@ -205,51 +205,38 @@ SweepPlan fleet_mission_plan() {
 const std::vector<PlanDescription>& registered_plans() {
   static const std::vector<PlanDescription> plans = {
       {"ablation_geometry",
-       "channel gap/height, flow and inlet-T vs deliverable power density (E9)"},
+       "channel gap/height, flow and inlet-T vs deliverable power density (E9)",
+       geometry_plan},
       {"temp_sensitivity",
-       "co-simulated thermal feedback on the generated power (bench E8)"},
+       "co-simulated thermal feedback on the generated power (bench E8)", temperature_plan},
       {"ablation_vrm_placement",
-       "VRM count/placement/resistance vs cache-rail integrity (E12)"},
-      {"operating_grid",
-       "co-simulated flow x inlet-temperature operating grid (3x3)"},
-      {"mission_endurance",
-       "transient mission endurance map: tank x workload x flow x dt"},
+       "VRM count/placement/resistance vs cache-rail integrity (E12)", vrm_placement_plan},
+      {"operating_grid", "co-simulated flow x inlet-temperature operating grid (3x3)",
+       operating_grid_plan},
+      {"mission_endurance", "transient mission endurance map: tank x workload x flow x dt",
+       mission_endurance_plan},
       {"stack_3d",
-       "multi-die 3D stacks: dies x flow x channel height, interlayer flow split"},
+       "multi-die 3D stacks: dies x flow x channel height, interlayer flow split",
+       stack_3d_plan},
       {"fleet_rack",
-       "rack-level shared coolant loops: chips x segments x coolant laws, steady"},
-      {"fleet_mission",
-       "staggered fleet workload replay: chips x stagger x trace, transient"},
+       "rack-level shared coolant loops: chips x segments x coolant laws, steady",
+       fleet_rack_plan},
+      {"fleet_mission", "staggered fleet workload replay: chips x stagger x trace, transient",
+       fleet_mission_plan},
   };
   return plans;
 }
 
 SweepPlan make_registered_plan(const std::string& name) {
-  if (name == "ablation_geometry") {
-    return geometry_plan();
+  std::string names;
+  for (const PlanDescription& plan : registered_plans()) {
+    if (plan.name == name) {
+      return plan.make();
+    }
+    names += (names.empty() ? "" : ", ") + plan.name;
   }
-  if (name == "temp_sensitivity") {
-    return temperature_plan();
-  }
-  if (name == "ablation_vrm_placement") {
-    return vrm_placement_plan();
-  }
-  if (name == "operating_grid") {
-    return operating_grid_plan();
-  }
-  if (name == "mission_endurance") {
-    return mission_endurance_plan();
-  }
-  if (name == "stack_3d") {
-    return stack_3d_plan();
-  }
-  if (name == "fleet_rack") {
-    return fleet_rack_plan();
-  }
-  if (name == "fleet_mission") {
-    return fleet_mission_plan();
-  }
-  throw std::invalid_argument("unknown sweep plan: " + name);
+  throw std::invalid_argument("unknown sweep plan: " + name + " (expected one of: " + names +
+                              ")");
 }
 
 }  // namespace brightsi::sweep

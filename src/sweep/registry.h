@@ -13,17 +13,19 @@
 
 namespace brightsi::sweep {
 
-/// A registry entry: the plan name plus a one-line summary for --list.
+/// A registry entry: the plan name, a one-line summary for --list and the
+/// factory that builds the plan.
 struct PlanDescription {
   std::string name;
   std::string summary;
+  SweepPlan (*make)();
 };
 
 /// All registered plan names with summaries, in presentation order.
 [[nodiscard]] const std::vector<PlanDescription>& registered_plans();
 
 /// Builds the named plan (scenarios fully expanded). Throws
-/// std::invalid_argument on an unknown name.
+/// std::invalid_argument listing the registered names on an unknown name.
 [[nodiscard]] SweepPlan make_registered_plan(const std::string& name);
 
 }  // namespace brightsi::sweep

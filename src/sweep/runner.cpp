@@ -93,10 +93,6 @@ SweepRunner::SweepRunner(std::shared_ptr<ExecutionBackend> backend)
   }
 }
 
-int SweepRunner::resolved_thread_count() const {
-  return backend_ != nullptr ? backend_->thread_count() : resolve_thread_count(options_);
-}
-
 SweepResult SweepRunner::run(const SweepPlan& plan) const {
   if (!plan.evaluator.fn) {
     throw std::invalid_argument("sweep plan '" + plan.name + "' has no evaluator");

@@ -44,6 +44,7 @@ struct ExecutionStats {
   long long leases_stolen = 0;  ///< orphaned leases reclaimed
   long long pending = 0;        ///< rows left for other shards / cut by row limit
   int model_builds = 0;         ///< thermal structure builds across workers
+  int rail_solves = 0;          ///< cache-rail (Fig. 8) solves across workers
   int trajectory_hits = 0;      ///< mission trajectory-cache replays
 };
 
@@ -93,8 +94,6 @@ class SweepRunner {
   /// Runs every scenario of the plan. Per-scenario exceptions become failed
   /// rows (error message captured) rather than aborting the sweep.
   [[nodiscard]] SweepResult run(const SweepPlan& plan) const;
-
-  [[nodiscard]] int resolved_thread_count() const;
 
  private:
   SweepOptions options_;

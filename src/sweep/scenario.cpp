@@ -1,6 +1,9 @@
 #include "sweep/scenario.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <variant>
 
@@ -75,13 +78,9 @@ void rebuild_stack(core::SystemConfig& config, int die_count, bool interlayer,
 /// override order — in particular, interlayer=0 on a single-die stack (an
 /// unrepresentable intermediate) is not lost when die_count applies later.
 void apply_stack_rebuild(core::SystemConfig& config, double, const ScenarioSpec& scenario) {
-  const int dies = static_cast<int>(
-      scenario.get("die_count").value_or(stack_die_count(config.stack)));
-  const bool interlayer =
-      scenario.get("interlayer")
-          .value_or(stack_is_interlayer(config.stack) ? 1.0 : 0.0) != 0.0;
-  const int bulk_z = static_cast<int>(
-      scenario.get("stack_layers").value_or(stack_bulk_z_cells(config.stack)));
+  const int dies = scenario.get_int("die_count", stack_die_count(config.stack));
+  const bool interlayer = scenario.get_flag("interlayer", stack_is_interlayer(config.stack));
+  const int bulk_z = scenario.get_int("stack_layers", stack_bulk_z_cells(config.stack));
   rebuild_stack(config, dies, interlayer, bulk_z);
 }
 
@@ -129,6 +128,41 @@ std::optional<double> ScenarioSpec::get(const std::string& param) const {
   return std::nullopt;
 }
 
+std::string format_value(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  return buffer;
+}
+
+int ScenarioSpec::get_int(const std::string& param, int fallback) const {
+  const std::optional<double> value = get(param);
+  return value ? whole_number_param(param, *value) : fallback;
+}
+
+bool ScenarioSpec::get_flag(const std::string& param, bool fallback) const {
+  const std::optional<double> value = get(param);
+  return value ? flag_param(param, *value) : fallback;
+}
+
+int whole_number_param(const std::string& param, double value) {
+  if (!(std::isfinite(value) && value == std::trunc(value) &&
+        value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("sweep parameter " + param +
+                                " must be a whole number in int range, got " +
+                                format_value(value));
+  }
+  return static_cast<int>(value);
+}
+
+bool flag_param(const std::string& param, double value) {
+  if (value != 0.0 && value != 1.0) {
+    throw std::invalid_argument("sweep parameter " + param + " must be 0 or 1, got " +
+                                format_value(value));
+  }
+  return value == 1.0;
+}
+
 const std::vector<ParameterInfo>& parameter_registry() {
   static const std::vector<ParameterInfo> registry = {
       {"flow_ml_min", "total electrolyte flow through the array (ml/min)",
@@ -153,15 +187,15 @@ const std::vector<ParameterInfo>& parameter_registry() {
        }},
       {"channel_count", "number of parallel channels in the array",
        [](core::SystemConfig& c, double v) {
-         c.array_spec.channel_count = static_cast<int>(v);
+         c.array_spec.channel_count = whole_number_param("channel_count", v);
        }},
       {"channel_groups", "channel groups sharing one axial temperature profile",
        [](core::SystemConfig& c, double v) {
-         c.channel_groups = static_cast<int>(v);
+         c.channel_groups = whole_number_param("channel_groups", v);
        }},
       {"axial_cells", "thermal-grid cells along the flow direction",
        [](core::SystemConfig& c, double v) {
-         c.thermal_grid.axial_cells = static_cast<int>(v);
+         c.thermal_grid.axial_cells = whole_number_param("axial_cells", v);
        },
        /*thermal_structural=*/true},
       {"die_count", "dies in the 3D stack (rebuilds a multi-die stack + per-die workload)",
@@ -176,8 +210,9 @@ const std::vector<ParameterInfo>& parameter_registry() {
        /*thermal_structural=*/true},
       {"solver", "thermal preconditioner: 0 = ILU(0)+BiCGSTAB, 1 = geometric multigrid",
        [](core::SystemConfig& c, double v) {
-         c.thermal_grid.solver_config.kind = v != 0.0 ? thermal::SolverKind::kMultigrid
-                                                      : thermal::SolverKind::kIlu0;
+         c.thermal_grid.solver_config.kind = flag_param("solver", v)
+                                                 ? thermal::SolverKind::kMultigrid
+                                                 : thermal::SolverKind::kIlu0;
        },
        /*thermal_structural=*/true},
       {"pump_efficiency", "hydraulic pump efficiency (0, 1]",
@@ -186,16 +221,16 @@ const std::vector<ParameterInfo>& parameter_registry() {
        nullptr, /*thermal_structural=*/false, apply_power_scale},
       {"vrm_count_x", "VRM tap columns over the die",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_x = static_cast<int>(v);
+         c.vrm_spec.count_x = whole_number_param("vrm_count_x", v);
        }},
       {"vrm_count_y", "VRM tap rows over the die",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_y = static_cast<int>(v);
+         c.vrm_spec.count_y = whole_number_param("vrm_count_y", v);
        }},
       {"vrm_grid_n", "square VRM tap grid: sets both count_x and count_y",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_x = static_cast<int>(v);
-         c.vrm_spec.count_y = static_cast<int>(v);
+         c.vrm_spec.count_x = whole_number_param("vrm_grid_n", v);
+         c.vrm_spec.count_y = c.vrm_spec.count_x;
        }},
       {"vrm_r_mohm", "per-tap VRM output resistance (mohm)",
        [](core::SystemConfig& c, double v) {
@@ -207,7 +242,7 @@ const std::vector<ParameterInfo>& parameter_registry() {
        [](core::SystemConfig& c, double v) { c.vrm_spec.efficiency = v; }},
       {"max_cosim_iterations", "fixed-point iteration cap of the co-simulation",
        [](core::SystemConfig& c, double v) {
-         c.max_cosim_iterations = static_cast<int>(v);
+         c.max_cosim_iterations = whole_number_param("max_cosim_iterations", v);
        }},
       // Evaluator-consumed parameter: the conventional edge-fed PDN baseline
       // has no SystemConfig field; rail_integrity_evaluator() reads it off

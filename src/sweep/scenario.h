@@ -25,7 +25,26 @@ struct ScenarioSpec {
   /// Appends the override, or replaces the value if `param` is already set.
   void set(const std::string& param, double value);
   [[nodiscard]] std::optional<double> get(const std::string& param) const;
+  /// The override of a count parameter through whole_number_param, or
+  /// `fallback` when `param` is not set.
+  [[nodiscard]] int get_int(const std::string& param, int fallback) const;
+  /// The override of a 0/1 parameter through flag_param, or `fallback`
+  /// when `param` is not set.
+  [[nodiscard]] bool get_flag(const std::string& param, bool fallback) const;
 };
+
+/// Formats a value the way auto-generated scenario names do (shortest
+/// round-trip, e.g. "676", "0.5").
+[[nodiscard]] std::string format_value(double value);
+
+/// `value` of the count parameter `param` as an int. Throws
+/// std::invalid_argument naming `param` when the value is not finite, not a
+/// whole number, or outside int range.
+[[nodiscard]] int whole_number_param(const std::string& param, double value);
+
+/// `value` of the 0/1 parameter `param` as a bool. Throws
+/// std::invalid_argument naming `param` for anything but 0 or 1.
+[[nodiscard]] bool flag_param(const std::string& param, double value);
 
 /// A sweepable parameter. `apply` rewrites the SystemConfig; it is null for
 /// parameters consumed directly by an evaluator (e.g. the edge-fed VRM

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "chip/power_map.h"
 #include "hydraulics/duct.h"
@@ -14,16 +13,6 @@ namespace brightsi::thermal {
 
 const char* solver_kind_name(SolverKind kind) {
   return kind == SolverKind::kMultigrid ? "mg" : "ilu0";
-}
-
-SolverKind parse_solver_kind(const std::string& name) {
-  if (name == "ilu0") {
-    return SolverKind::kIlu0;
-  }
-  if (name == "mg") {
-    return SolverKind::kMultigrid;
-  }
-  throw std::invalid_argument("unknown solver '" + name + "' (expected ilu0 or mg)");
 }
 
 void OperatingPoint::validate(bool has_channels) const {
@@ -392,20 +381,6 @@ ThermalSolution ThermalModel::solve_steady(std::span<const chip::Floorplan* cons
                                            const OperatingPoint& op) const {
   ThermalSolveContext context(*this);
   return context.solve_steady(floorplans, op);
-}
-
-ThermalSolution ThermalModel::step_transient(const numerics::Grid3<double>& state,
-                                             const chip::Floorplan& floorplan,
-                                             const OperatingPoint& op, double dt_s) const {
-  ThermalSolveContext context(*this);
-  return context.step_transient(state, floorplan, op, dt_s);
-}
-
-ThermalSolution ThermalModel::step_transient(const numerics::Grid3<double>& state,
-                                             std::span<const chip::Floorplan* const> floorplans,
-                                             const OperatingPoint& op, double dt_s) const {
-  ThermalSolveContext context(*this);
-  return context.step_transient(state, floorplans, op, dt_s);
 }
 
 numerics::Grid3<double> ThermalModel::uniform_state(double temperature_k) const {

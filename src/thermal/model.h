@@ -21,8 +21,8 @@
 // The sparsity pattern of the assembled operator depends only on the grid,
 // never on the operating point, so it is built once at construction
 // (`operator_pattern`) and per-solve work reduces to an in-place coefficient
-// fill. `solve_steady`/`step_transient` remain the simple one-shot entry
-// points; repeated solves should go through a ThermalSolveContext
+// fill. `solve_steady` remains the simple one-shot entry point; repeated
+// solves and transient steps go through a ThermalSolveContext
 // (thermal/solve_context.h), which reuses the matrix, the ILU(0)
 // factorization, the Krylov workspace and the previous temperature field
 // across calls.
@@ -140,10 +140,6 @@ enum class SolverKind {
 /// Name of a solver kind ("ilu0" / "mg"), for CLIs and bench JSON.
 [[nodiscard]] const char* solver_kind_name(SolverKind kind);
 
-/// Parses "ilu0" / "mg" (the CLI vocabulary). Throws std::invalid_argument
-/// on anything else, listing the accepted names.
-[[nodiscard]] SolverKind parse_solver_kind(const std::string& name);
-
 /// Preconditioner selection, threaded from SystemConfig.thermal_grid down to
 /// every ThermalSolveContext (and hence transient engines, sweeps and CLIs).
 /// The default reproduces the seed's ILU(0) path bit-for-bit.
@@ -186,21 +182,6 @@ class ThermalModel {
   [[nodiscard]] ThermalSolution solve_steady(
       std::span<const chip::Floorplan* const> floorplans,
       const OperatingPoint& operating_point) const;
-
-  /// One backward-Euler step of length `dt_s` from `state` (a full
-  /// temperature field, e.g. the previous solution). Returns the new state
-  /// with the same diagnostics as a steady solve. One-shot wrapper over a
-  /// fresh ThermalSolveContext; step loops should hold their own context.
-  [[nodiscard]] ThermalSolution step_transient(const numerics::Grid3<double>& state,
-                                               const chip::Floorplan& floorplan,
-                                               const OperatingPoint& operating_point,
-                                               double dt_s) const;
-
-  /// Multi-die transient step: one floorplan per heat-source layer.
-  [[nodiscard]] ThermalSolution step_transient(
-      const numerics::Grid3<double>& state,
-      std::span<const chip::Floorplan* const> floorplans,
-      const OperatingPoint& operating_point, double dt_s) const;
 
   /// Uniform-temperature initial state.
   [[nodiscard]] numerics::Grid3<double> uniform_state(double temperature_k) const;

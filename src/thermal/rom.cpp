@@ -15,6 +15,11 @@ namespace brightsi::thermal {
 
 namespace {
 
+/// Relative tolerance for treating two step lengths as the same reduced
+/// operator (the scheduler emits bit-jittered nominal steps plus short
+/// residual closers; each distinct length gets its own basis).
+constexpr double kDtMatchRel = 1e-9;
+
 double seconds_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -34,7 +39,6 @@ void RomOptions::validate() const {
   ensure(max_basis >= 4, "rom basis cap must be >= 4");
   ensure(enrichment_moments >= 0, "rom enrichment moments must be >= 0");
   ensure(drop_tolerance > 0.0, "rom drop tolerance must be positive");
-  ensure(dt_match_rel > 0.0, "rom dt match tolerance must be positive");
   ensure(roundoff_floor_k >= 0.0, "rom roundoff floor must be >= 0");
 }
 
@@ -105,7 +109,7 @@ ReducedThermalModel::~ReducedThermalModel() = default;
 ReducedThermalModel::DtModel* ReducedThermalModel::find_dt_model(double dt_s) {
   for (const std::unique_ptr<DtModel>& candidate : dt_models_) {
     if (std::abs(candidate->dt_s - dt_s) <=
-        options_.dt_match_rel * std::max(candidate->dt_s, dt_s)) {
+        kDtMatchRel * std::max(candidate->dt_s, dt_s)) {
       return candidate.get();
     }
   }

@@ -58,10 +58,6 @@ struct RomOptions {
   /// Orthogonalization drop tolerance (relative): candidates this close to
   /// the current span are rejected (numerics/model_reduction.h).
   double drop_tolerance = 1e-10;
-  /// Relative tolerance for treating two step lengths as the same reduced
-  /// operator (the scheduler emits bit-jittered nominal steps plus short
-  /// residual closers; each distinct length gets its own basis).
-  double dt_match_rel = 1e-9;
   /// Added to every certified bound to absorb the floating-point roundoff
   /// of the residual evaluation itself (kelvin).
   double roundoff_floor_k = 1e-9;

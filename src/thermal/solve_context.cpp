@@ -55,13 +55,6 @@ ThermalSolution ThermalSolveContext::solve_steady(
   return solve(floorplans, op, 0.0, nullptr, &steady_scatter_, "ThermalModel::solve_steady");
 }
 
-ThermalSolution ThermalSolveContext::step_transient(const numerics::Grid3<double>& state,
-                                                    const chip::Floorplan& floorplan,
-                                                    const OperatingPoint& op, double dt_s) {
-  const chip::Floorplan* floorplans[] = {&floorplan};
-  return step_transient(state, floorplans, op, dt_s);
-}
-
 ThermalSolution ThermalSolveContext::step_transient(
     const numerics::Grid3<double>& state, std::span<const chip::Floorplan* const> floorplans,
     const OperatingPoint& op, double dt_s) {
@@ -74,7 +67,7 @@ ThermalSolution ThermalSolveContext::step_transient(
   temperatures_ = state.data();
   warm_ = true;
   return solve(floorplans, op, 1.0 / dt_s, &state, &transient_scatter_,
-               "ThermalModel::step_transient");
+               "ThermalSolveContext::step_transient");
 }
 
 ThermalSolution ThermalSolveContext::solve(std::span<const chip::Floorplan* const> floorplans,

@@ -14,7 +14,7 @@
 //    callers that must be reproducible across repeated runs (e.g.
 //    IntegratedMpsocSystem::run) reset at the start of each run.
 //  * Multi-die stacks pass one floorplan per heat-source layer (bottom to
-//    top); the single-floorplan overloads require a single-die stack.
+//    top); the single-floorplan solve_steady requires a single-die stack.
 #ifndef BRIGHTSI_THERMAL_SOLVE_CONTEXT_H
 #define BRIGHTSI_THERMAL_SOLVE_CONTEXT_H
 
@@ -56,14 +56,11 @@ class ThermalSolveContext {
       std::span<const chip::Floorplan* const> floorplans,
       const OperatingPoint& operating_point);
 
-  /// One backward-Euler step from `state`; the step itself is the warm
-  /// start. Same contract as ThermalModel::step_transient.
-  [[nodiscard]] ThermalSolution step_transient(const numerics::Grid3<double>& state,
-                                               const chip::Floorplan& floorplan,
-                                               const OperatingPoint& operating_point,
-                                               double dt_s);
-
-  /// Multi-die transient step: one floorplan per heat-source layer.
+  /// One backward-Euler step of length `dt_s` from `state` (a full
+  /// temperature field, e.g. the previous solution), with one floorplan
+  /// per heat-source layer. The step's own previous state is the warm
+  /// start. Returns the new state with the same diagnostics as a steady
+  /// solve.
   [[nodiscard]] ThermalSolution step_transient(
       const numerics::Grid3<double>& state,
       std::span<const chip::Floorplan* const> floorplans,

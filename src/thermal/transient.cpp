@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "numerics/contracts.h"
@@ -11,17 +10,6 @@ namespace brightsi::thermal {
 
 const char* transient_backend_name(TransientBackend backend) {
   return backend == TransientBackend::kRom ? "rom" : "full";
-}
-
-TransientBackend parse_transient_backend(const std::string& name) {
-  if (name == "full") {
-    return TransientBackend::kFull;
-  }
-  if (name == "rom") {
-    return TransientBackend::kRom;
-  }
-  throw std::invalid_argument("unknown transient backend '" + name +
-                              "' (expected full or rom)");
 }
 
 namespace {

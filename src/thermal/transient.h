@@ -1,7 +1,7 @@
 // Shared transient time-stepping engine: one loop that owns step
 // scheduling, phase lookup, the per-loop ThermalSolveContext, in-place
-// state hand-off and sample decimation for every transient driver in the
-// repo (thermal/trace_runner, core/mission, the throttling example).
+// state hand-off and sample decimation for the mission simulator
+// (core/mission) and the throttling example.
 //
 // The scheduler is phase-boundary aligned: steps land exactly on workload
 // phase edges and on the trace end, so the whole trace duration is always
@@ -39,10 +39,6 @@ enum class TransientBackend {
 
 /// Name of a transient backend ("full" / "rom"), for CLIs and bench JSON.
 [[nodiscard]] const char* transient_backend_name(TransientBackend backend);
-
-/// Parses "full" / "rom" (the CLI vocabulary). Throws std::invalid_argument
-/// on anything else, listing the accepted names.
-[[nodiscard]] TransientBackend parse_transient_backend(const std::string& name);
 
 /// One scheduled backward-Euler step: the interval (t_begin, t_end].
 /// `phase` borrows from the WorkloadTrace the schedule was built from,

@@ -1,5 +1,6 @@
-// Tests of the extension modules: electrolyte reservoir / state of charge,
-// workload traces and the transient trace runner.
+// Tests of the extension modules: electrolyte reservoir / state of charge
+// and workload traces. Trace replay through the thermal model is covered
+// by transient_test.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -10,12 +11,9 @@
 #include "electrochem/reservoir.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/cell_array.h"
-#include "thermal/model.h"
-#include "thermal/trace_runner.h"
 
 namespace ec = brightsi::electrochem;
 namespace ch = brightsi::chip;
-namespace th = brightsi::thermal;
 namespace fc = brightsi::flowcell;
 
 namespace {
@@ -166,73 +164,6 @@ TEST(Workload, RejectsBadPhases) {
   EXPECT_THROW(ch::WorkloadTrace({bad}), std::invalid_argument);
   ch::WorkloadPhase negative{"x", 1.0, -0.1, 1.0, 1.0, 1.0};
   EXPECT_THROW(ch::WorkloadTrace({negative}), std::invalid_argument);
-}
-
-// ------------------------------------------------------------ trace runner
-class TraceRunnerTest : public ::testing::Test {
- protected:
-  static th::ThermalModel make_model() {
-    th::ThermalModel::GridSettings grid;
-    grid.axial_cells = 8;
-    return th::ThermalModel(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                            ch::kPower7DieHeightM, grid);
-  }
-  static th::OperatingPoint op() {
-    th::OperatingPoint o;
-    o.total_flow_m3_per_s = 676e-6 / 60.0;
-    o.inlet_temperature_k = 300.15;
-    return o;
-  }
-};
-
-TEST_F(TraceRunnerTest, RecordsOneSamplePerStep) {
-  const auto model = make_model();
-  const auto trace = ch::full_load_trace(0.5);
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{}, trace, op(), 0.1);
-  EXPECT_EQ(result.samples.size(), 5u);
-  EXPECT_EQ(result.samples.front().phase, "full-load");
-  EXPECT_GT(result.max_peak_temperature_k, 300.15);
-}
-
-TEST_F(TraceRunnerTest, TemperatureRisesDuringBurst) {
-  const auto model = make_model();
-  const auto trace = ch::burst_trace(1);
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{}, trace, op(), 0.1);
-  // Find the last idle sample and a late burst sample.
-  double idle_peak = 0.0, burst_peak = 0.0;
-  for (const auto& s : result.samples) {
-    if (s.phase == "idle") {
-      idle_peak = s.peak_temperature_k;
-    }
-    if (s.phase == "burst") {
-      burst_peak = s.peak_temperature_k;
-    }
-  }
-  EXPECT_GT(burst_peak, idle_peak + 1.0);
-}
-
-TEST_F(TraceRunnerTest, FinalStateSeedsFollowUpRun) {
-  const auto model = make_model();
-  const auto warmup = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(0.5), op(), 0.1);
-  const auto cont = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                          ch::full_load_trace(0.2), op(), 0.1,
-                                          &warmup.final_state);
-  // Continuation starts hot: its first sample exceeds a cold first sample.
-  const auto cold = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                          ch::full_load_trace(0.2), op(), 0.1);
-  EXPECT_GT(cont.samples.front().peak_temperature_k,
-            cold.samples.front().peak_temperature_k + 1.0);
-}
-
-TEST_F(TraceRunnerTest, PowerFollowsPhases) {
-  const auto model = make_model();
-  const auto trace = ch::memory_bound_trace(0.3);
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{}, trace, op(), 0.1);
-  const auto full = ch::make_power7_floorplan();
-  for (const auto& s : result.samples) {
-    EXPECT_LT(s.total_power_w, full.total_power());
-  }
 }
 
 }  // namespace

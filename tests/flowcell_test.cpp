@@ -390,14 +390,6 @@ TEST(Polarization, SweepIsWellFormed) {
   }
 }
 
-TEST(Polarization, InterpolationRoundTrip) {
-  const auto& model = validation_model_fast();
-  const auto curve = fc::sweep_polarization(model, validation_conditions(60.0), 0.3, 15);
-  const double v_probe = 1.0;
-  const double i = curve.current_at_voltage(v_probe);
-  EXPECT_NEAR(curve.voltage_at_current(i), v_probe, 0.05);
-}
-
 TEST(Polarization, MaxPowerPointIsInterior) {
   const auto& model = validation_model_fast();
   const auto curve = fc::sweep_polarization(model, validation_conditions(60.0), 0.2, 20);
@@ -409,13 +401,6 @@ TEST(Polarization, MaxPowerPointIsInterior) {
 TEST(Polarization, RejectsUnsortedCurves) {
   std::vector<fc::PolarizationPoint> pts = {{1.0, 0.0, 0.0, 0.0}, {1.2, 1.0, 0.0, 1.2}};
   EXPECT_THROW(fc::PolarizationCurve{pts}, std::invalid_argument);
-}
-
-TEST(Polarization, ClampsOutsideSweepRange) {
-  std::vector<fc::PolarizationPoint> pts = {{1.2, 0.0, 0.0, 0.0}, {0.8, 2.0, 0.0, 1.6}};
-  const fc::PolarizationCurve curve(pts);
-  EXPECT_DOUBLE_EQ(curve.current_at_voltage(1.5), 0.0);
-  EXPECT_DOUBLE_EQ(curve.current_at_voltage(0.5), 2.0);
 }
 
 // ------------------------------------------------------------------- array
@@ -440,36 +425,6 @@ TEST(CellArray, PaperHeadlineSixAmpsAtOneVolt) {
   // Fig. 7: the 88-channel array sources ~6 A at 1 V.
   const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
   EXPECT_NEAR(array.current_at_voltage(1.0), 6.0, 0.25);
-}
-
-TEST(CellArray, VoltageAtCurrentInverts) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  const double v = array.voltage_at_current(6.0);
-  EXPECT_NEAR(array.current_at_voltage(v), 6.0, 0.05);
-}
-
-TEST(CellArray, VoltageAtCurrentThrowsBeyondCapability) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  EXPECT_THROW((void)array.voltage_at_current(1e4), std::runtime_error);
-}
-
-TEST(CellArray, SweepMatchesPointQueries) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  const auto curve = array.sweep(0.4, 14);
-  EXPECT_NEAR(curve.current_at_voltage(1.0), array.current_at_voltage(1.0), 0.2);
-}
-
-TEST(CellArray, PerChannelProfilesSumLikeUniform) {
-  auto spec = fc::power7_array_spec();
-  spec.channel_count = 4;
-  spec.total_flow_m3_per_s = 4.0 * fc::power7_array_spec().per_channel_flow();
-  const fc::FlowCellArray array(spec, ec::power7_array_chemistry());
-  const std::vector<std::vector<double>> profiles(4, std::vector<double>{300.0});
-  EXPECT_NEAR(array.current_at_voltage_per_channel(1.0, profiles),
-              array.current_at_voltage(1.0), 1e-9);
-  const std::vector<std::vector<double>> wrong_count(3, std::vector<double>{300.0});
-  EXPECT_THROW((void)array.current_at_voltage_per_channel(1.0, wrong_count),
-               std::invalid_argument);
 }
 
 TEST(CellArray, HydraulicsMatchPaperVelocity) {

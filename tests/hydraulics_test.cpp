@@ -96,10 +96,9 @@ TEST(Duct, RejectsNonPositiveGeometry) {
 TEST(VelocityProfile, VanishesAtWallsAndPeaksAtCenter) {
   const hy::RectangularDuct d(2e-3, 150e-6, 33e-3);
   const hy::DuctVelocityProfile profile(d);
-  EXPECT_NEAR(profile.normalized_at(0.0, 75e-6), 0.0, 1e-6);
-  EXPECT_NEAR(profile.normalized_at(2e-3, 75e-6), 0.0, 1e-6);
-  EXPECT_NEAR(profile.normalized_at(1e-3, 0.0), 0.0, 1e-6);
-  EXPECT_GT(profile.normalized_at(1e-3, 75e-6), 1.0);
+  EXPECT_NEAR(profile.depth_averaged(0.0), 0.0, 1e-6);
+  EXPECT_NEAR(profile.depth_averaged(2e-3), 0.0, 1e-6);
+  EXPECT_GT(profile.depth_averaged(1e-3), 1.0);
 }
 
 TEST(VelocityProfile, DepthAveragedMeanIsOne) {
@@ -113,13 +112,6 @@ TEST(VelocityProfile, DepthAveragedMeanIsOne) {
   }
   mean /= n;
   EXPECT_NEAR(mean, 1.0, 1e-3);
-}
-
-TEST(VelocityProfile, SquareDuctPeakToMeanRatio) {
-  // Exact value for a square duct: u_max / u_mean = 2.0962.
-  const hy::RectangularDuct d(1e-3, 1e-3, 0.1);
-  const hy::DuctVelocityProfile profile(d, 101);
-  EXPECT_NEAR(profile.normalized_at(0.5e-3, 0.5e-3), 2.0962, 5e-3);
 }
 
 TEST(VelocityProfile, NearParabolicAcrossNarrowGap) {
@@ -146,7 +138,6 @@ TEST(VelocityProfile, RejectsOutOfDuctQueries) {
   const hy::DuctVelocityProfile profile(d);
   EXPECT_THROW((void)profile.depth_averaged(-1e-6), std::invalid_argument);
   EXPECT_THROW((void)profile.depth_averaged(1.1e-3), std::invalid_argument);
-  EXPECT_THROW((void)profile.normalized_at(0.5e-3, 2e-3), std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- pump
@@ -167,21 +158,13 @@ TEST(Pump, RejectsBadEfficiency) {
   EXPECT_THROW((void)hy::pumping_power_w(1.0, 1.0, 1.5), std::invalid_argument);
 }
 
-TEST(Pump, MinorLossQuadraticInVelocity) {
-  const double k = 1.5;
-  EXPECT_NEAR(hy::minor_loss_pa(k, 1260.0, 2.0) / hy::minor_loss_pa(k, 1260.0, 1.0), 4.0,
-              1e-12);
-}
-
 // ----------------------------------------------------------- dimensionless
-TEST(Dimensionless, ReynoldsDefinition) {
-  EXPECT_DOUBLE_EQ(hy::reynolds_number(1000.0, 1.0, 1e-3, 1e-3), 1000.0);
-}
-
 TEST(Dimensionless, SchmidtAndPecletConsistency) {
-  const double re = hy::reynolds_number(1260.0, 1.6, 2.667e-4, 2.53e-3);
-  const double sc = hy::schmidt_number(2.53e-3, 1260.0, 1.26e-10);
-  const double pe = hy::peclet_mass(1.6, 2.667e-4, 1.26e-10);
+  // Pe = Re Sc, with Re = rho v L / mu and Sc = mu / (rho D).
+  const double rho = 1260.0, v = 1.6, length = 2.667e-4, mu = 2.53e-3, d = 1.26e-10;
+  const double re = rho * v * length / mu;
+  const double sc = mu / (rho * d);
+  const double pe = hy::peclet_mass(v, length, d);
   EXPECT_NEAR(re * sc, pe, pe * 1e-9);
 }
 
@@ -191,61 +174,44 @@ TEST(Dimensionless, FilmThicknessSqrtGrowth) {
   EXPECT_NEAR(d2 / d1, 2.0, 1e-9);
 }
 
-TEST(Dimensionless, EntranceLength) {
-  EXPECT_NEAR(hy::hydrodynamic_entrance_length(213.0, 2.667e-4), 2.84e-3, 1e-4);
-}
-
 // ----------------------------------------------------------------- manifold
-TEST(Manifold, UniformSplitConservesFlow) {
-  const auto split = hy::split_uniform(88e-6, 88);
-  EXPECT_EQ(split.size(), 88u);
-  double total = 0.0;
-  for (const double q : split) {
-    EXPECT_DOUBLE_EQ(q, 1e-6);
-    total += q;
-  }
-  EXPECT_NEAR(total, 88e-6, 1e-15);
-}
-
 TEST(Manifold, IdenticalChannelsSplitEqually) {
-  std::vector<hy::RectangularDuct> ducts;
-  for (int i = 0; i < 4; ++i) {
-    ducts.emplace_back(200e-6, 400e-6, 22e-3);
-  }
-  const auto split = hy::split_by_conductance(4e-6, ducts, 2.53e-3);
-  for (const double q : split.per_channel_flow_m3_per_s) {
+  const std::vector<hy::ParallelChannelGroup> groups(
+      4, {hy::RectangularDuct(200e-6, 400e-6, 22e-3), 1, ""});
+  const auto split = hy::split_equal_pressure(4e-6, groups, 2.53e-3);
+  for (const double q : split.per_group_flow_m3_per_s) {
     EXPECT_NEAR(q, 1e-6, 1e-15);
   }
 }
 
 TEST(Manifold, WiderChannelTakesMoreFlow) {
-  std::vector<hy::RectangularDuct> ducts = {
-      hy::RectangularDuct(200e-6, 400e-6, 22e-3),
-      hy::RectangularDuct(400e-6, 400e-6, 22e-3),
+  const std::vector<hy::ParallelChannelGroup> groups = {
+      {hy::RectangularDuct(200e-6, 400e-6, 22e-3), 1, "narrow"},
+      {hy::RectangularDuct(400e-6, 400e-6, 22e-3), 1, "wide"},
   };
-  const auto split = hy::split_by_conductance(2e-6, ducts, 2.53e-3);
-  EXPECT_GT(split.per_channel_flow_m3_per_s[1], split.per_channel_flow_m3_per_s[0]);
-  EXPECT_NEAR(split.per_channel_flow_m3_per_s[0] + split.per_channel_flow_m3_per_s[1], 2e-6,
+  const auto split = hy::split_equal_pressure(2e-6, groups, 2.53e-3);
+  EXPECT_GT(split.per_group_flow_m3_per_s[1], split.per_group_flow_m3_per_s[0]);
+  EXPECT_NEAR(split.per_group_flow_m3_per_s[0] + split.per_group_flow_m3_per_s[1], 2e-6,
               1e-15);
 }
 
 TEST(Manifold, CommonPressureDropIsConsistent) {
-  std::vector<hy::RectangularDuct> ducts = {
-      hy::RectangularDuct(200e-6, 400e-6, 22e-3),
-      hy::RectangularDuct(300e-6, 400e-6, 22e-3),
+  const std::vector<hy::ParallelChannelGroup> groups = {
+      {hy::RectangularDuct(200e-6, 400e-6, 22e-3), 1, "a"},
+      {hy::RectangularDuct(300e-6, 400e-6, 22e-3), 1, "b"},
   };
   const double mu = 2.53e-3;
-  const auto split = hy::split_by_conductance(2e-6, ducts, mu);
-  for (std::size_t i = 0; i < ducts.size(); ++i) {
-    const double v = ducts[i].mean_velocity(split.per_channel_flow_m3_per_s[i]);
-    EXPECT_NEAR(ducts[i].pressure_drop_pa(mu, v), split.common_pressure_drop_pa,
+  const auto split = hy::split_equal_pressure(2e-6, groups, mu);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const double v = groups[i].duct.mean_velocity(split.per_group_flow_m3_per_s[i]);
+    EXPECT_NEAR(groups[i].duct.pressure_drop_pa(mu, v), split.common_pressure_drop_pa,
                 split.common_pressure_drop_pa * 1e-9);
   }
 }
 
 TEST(Manifold, EmptyChannelListThrows) {
-  const std::vector<hy::RectangularDuct> none;
-  EXPECT_THROW(hy::split_by_conductance(1e-6, none, 1e-3), std::invalid_argument);
+  const std::vector<hy::ParallelChannelGroup> none;
+  EXPECT_THROW((void)hy::split_equal_pressure(1e-6, none, 1e-3), std::invalid_argument);
 }
 
 // ------------------------------------------------- equal-pressure groups

@@ -90,18 +90,19 @@ TEST(FailureInjection, ReducedFlowHeatsAndStillConverges) {
 TEST(FailureInjection, BlockedChannelsShiftFlowToSurvivors) {
   // A blocked channel's flow redistributes: survivors each carry more and
   // the plenum pressure rises.
-  std::vector<hy::RectangularDuct> healthy(8, hy::RectangularDuct(200e-6, 400e-6, 22e-3));
+  const std::vector<hy::ParallelChannelGroup> healthy(
+      8, {hy::RectangularDuct(200e-6, 400e-6, 22e-3), 1, ""});
   const double total = 8e-6;
-  const auto base = hy::split_by_conductance(total, healthy, 2.53e-3);
+  const auto base = hy::split_equal_pressure(total, healthy, 2.53e-3);
 
-  std::vector<hy::RectangularDuct> degraded = healthy;
-  degraded[0] = hy::RectangularDuct(20e-6, 400e-6, 22e-3);  // 90 % blocked
-  const auto after = hy::split_by_conductance(total, degraded, 2.53e-3);
-  EXPECT_LT(after.per_channel_flow_m3_per_s[0], base.per_channel_flow_m3_per_s[0] / 10.0);
-  EXPECT_GT(after.per_channel_flow_m3_per_s[1], base.per_channel_flow_m3_per_s[1]);
+  std::vector<hy::ParallelChannelGroup> degraded = healthy;
+  degraded[0].duct = hy::RectangularDuct(20e-6, 400e-6, 22e-3);  // 90 % blocked
+  const auto after = hy::split_equal_pressure(total, degraded, 2.53e-3);
+  EXPECT_LT(after.per_group_flow_m3_per_s[0], base.per_group_flow_m3_per_s[0] / 10.0);
+  EXPECT_GT(after.per_group_flow_m3_per_s[1], base.per_group_flow_m3_per_s[1]);
   EXPECT_GT(after.common_pressure_drop_pa, base.common_pressure_drop_pa);
   double sum = 0.0;
-  for (const double q : after.per_channel_flow_m3_per_s) {
+  for (const double q : after.per_group_flow_m3_per_s) {
     sum += q;
   }
   EXPECT_NEAR(sum, total, total * 1e-12);

@@ -105,7 +105,9 @@ TEST(Objective, DescribeReadsNaturally) {
   cap.max = 86.85;
   spec.constraints.push_back(cap);
   EXPECT_EQ(spec.describe(), "maximize net_w subject to peak_t_c <= 86.85");
-  EXPECT_EQ(op::minimize_metric("peak_t_c").describe(), "minimize peak_t_c");
+  op::ObjectiveSpec minimize;
+  minimize.terms.push_back(op::parse_objective_term("peak_t_c", -1.0));
+  EXPECT_EQ(minimize.describe(), "minimize peak_t_c");
 }
 
 TEST(Objective, InvalidSpecsAreRejected) {

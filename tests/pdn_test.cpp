@@ -36,7 +36,8 @@ TEST(PowerGrid, NominalLoadCurrentMatchesBlockPower) {
   spec.nodes_y = 20;
   const auto fp = single_load_floorplan(3.0);
   const pd::PowerGrid grid(spec, fp);
-  EXPECT_NEAR(grid.nominal_load_current_a(), 3.0, 1e-9);  // 3 W at 1 V
+  const auto taps = pd::make_vrm_grid(2, 2, fp.die_width(), fp.die_height(), 1.0, 25e-3);
+  EXPECT_NEAR(grid.solve(taps).total_load_current_a, 3.0, 1e-9);  // 3 W at 1 V
 }
 
 TEST(PowerGrid, DefaultFilterSelectsCaches) {
@@ -47,7 +48,8 @@ TEST(PowerGrid, DefaultFilterSelectsCaches) {
   fp.add_block({"core", ch::BlockType::kCore, ch::rect_mm(0, 0, 5, 10), 1e5});
   fp.add_block({"l3", ch::BlockType::kL3Cache, ch::rect_mm(5, 0, 5, 10), 2e4});
   const pd::PowerGrid grid(spec, fp);
-  EXPECT_NEAR(grid.nominal_load_current_a(), fp.cache_power(), 1e-9);
+  const auto taps = pd::make_vrm_grid(2, 2, fp.die_width(), fp.die_height(), 1.0, 25e-3);
+  EXPECT_NEAR(grid.solve(taps).total_load_current_a, fp.cache_power(), 1e-9);
 }
 
 TEST(PowerGrid, SolveRequiresTaps) {
@@ -134,19 +136,6 @@ TEST(PowerGrid, Fig8CalibrationWindow) {
   EXPECT_NEAR(sol.total_load_current_a, 5.0, 0.05);
 }
 
-TEST(PowerGrid, ConstantPowerSlightlyWorseThanConstantCurrent) {
-  // At reduced node voltage, constant-power loads draw more current, so
-  // droop deepens (slightly).
-  const auto fp = ch::make_power7_floorplan();
-  const pd::PowerGrid grid(pd::PowerGridSpec{}, fp);
-  const auto taps = pd::make_vrm_grid(4, 4, fp.die_width(), fp.die_height(), 1.0, 25e-3);
-  const auto cc = grid.solve(taps);
-  const auto cp = grid.solve_constant_power(taps);
-  EXPECT_LE(cp.min_voltage_v, cc.min_voltage_v + 1e-9);
-  EXPECT_GT(cp.min_voltage_v, cc.min_voltage_v - 0.01);
-  EXPECT_GT(cp.total_load_current_a, cc.total_load_current_a);
-}
-
 TEST(PowerGrid, OhmicLossIsSmallFraction) {
   const auto fp = ch::make_power7_floorplan();
   const pd::PowerGrid grid(pd::PowerGridSpec{}, fp);
@@ -185,28 +174,6 @@ TEST(Vrm, SpecValidation) {
   spec = pd::VrmSpec{};
   spec.max_input_voltage_v = spec.min_input_voltage_v;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-}
-
-TEST(Vrm, ConversionArithmetic) {
-  pd::VrmSpec spec;  // 86 % efficient
-  const auto c = pd::convert_at_bus(spec, 5.0, 1.0);
-  EXPECT_NEAR(c.input_power_w, 5.0 / 0.86, 1e-9);
-  EXPECT_NEAR(c.input_current_a, 5.0 / 0.86, 1e-9);
-  EXPECT_NEAR(c.loss_w, 5.0 / 0.86 - 5.0, 1e-9);
-  EXPECT_TRUE(c.input_in_window);
-}
-
-TEST(Vrm, WindowDetection) {
-  pd::VrmSpec spec;
-  EXPECT_FALSE(pd::convert_at_bus(spec, 1.0, 0.5).input_in_window);
-  EXPECT_FALSE(pd::convert_at_bus(spec, 1.0, 2.5).input_in_window);
-  EXPECT_TRUE(pd::convert_at_bus(spec, 1.0, 1.2).input_in_window);
-}
-
-TEST(Vrm, HigherBusVoltageLowersInputCurrent) {
-  pd::VrmSpec spec;
-  EXPECT_GT(pd::convert_at_bus(spec, 5.0, 1.0).input_current_a,
-            pd::convert_at_bus(spec, 5.0, 1.5).input_current_a);
 }
 
 }  // namespace

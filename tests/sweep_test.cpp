@@ -1,6 +1,7 @@
 // Tests of the scenario-sweep engine: plan expansion, scenario overrides,
 // runner determinism across thread counts, and cross-checks of the sweep
 // rows against direct evaluations of the underlying models.
+#include <cmath>
 #include <sstream>
 #include <utility>
 #include <variant>
@@ -10,6 +11,7 @@
 #include "core/cosim.h"
 #include "flowcell/cell_array.h"
 #include "hydraulics/pump.h"
+#include "sweep/evaluators.h"
 #include "sweep/registry.h"
 #include "sweep/runner.h"
 #include "sweep/system_cache.h"
@@ -111,12 +113,43 @@ TEST(SweepPlan, EmptyAxisExpandsToNothing) {
   EXPECT_TRUE(plan.scenarios.empty());
 }
 
-TEST(SweepPlan, AddListAutoNames) {
+TEST(SweepScenario, CountsAndFlagsRejectNonIntegerValues) {
+  EXPECT_EQ(sw::whole_number_param("axial_cells", 16.0), 16);
+  EXPECT_EQ(sw::whole_number_param("rack_blocked", -0.0), 0);
+  EXPECT_TRUE(sw::flag_param("interlayer", 1.0));
+  EXPECT_FALSE(sw::flag_param("interlayer", -0.0));
+  for (const double bad : {2.9, 1e10, -3e9, std::nan(""), HUGE_VAL}) {
+    try {
+      (void)sw::whole_number_param("vrm_grid_n", bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("vrm_grid_n"), std::string::npos) << e.what();
+    }
+  }
+  for (const double bad : {0.5, 2.0, -1.0, std::nan("")}) {
+    EXPECT_THROW((void)sw::flag_param("solver", bad), std::invalid_argument) << bad;
+  }
+  // The appliers go through the same checks.
+  sw::ScenarioSpec scenario;
+  scenario.set("vrm_grid_n", 2.9);
+  EXPECT_THROW((void)sw::apply_scenario(co::power7_system_config(), scenario),
+               std::invalid_argument);
+}
+
+TEST(SweepScenario, FractionalRackChipsFailTheRowByName) {
   sw::SweepPlan plan;
-  plan.add_list("flow_ml_min", {48.0, 676.0});
-  ASSERT_EQ(plan.scenarios.size(), 2u);
-  EXPECT_EQ(plan.scenarios[0].name, "flow_ml_min=48");
-  EXPECT_EQ(plan.scenarios[1].name, "flow_ml_min=676");
+  plan.name = "fractional_rack";
+  plan.base = co::power7_system_config();
+  plan.evaluator = sw::fleet_evaluator();
+  sw::ScenarioSpec scenario;
+  scenario.name = "rack_chips=2.5";
+  scenario.set("rack_chips", 2.5);
+  plan.add(scenario);
+  const sw::SweepResult result = sw::SweepRunner({1}).run(plan);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_TRUE(result.rows[0].failed);
+  EXPECT_NE(result.rows[0].error.find("rack_chips"), std::string::npos)
+      << result.rows[0].error;
 }
 
 TEST(SweepRunner, EmptyPlanYieldsEmptyResult) {
@@ -430,6 +463,18 @@ TEST(SweepCache, RailReusedAcrossOperatingPoints) {
   const auto b = rail_for(disabled, "flow_ml_min", 676.0);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(disabled.solve_count(), 2);
+}
+
+TEST(SweepCache, OperatingGridSolvesTheRailOncePerWorker) {
+  // operating_grid varies only the coolant, which never reaches the rail:
+  // one worker solves it once with reuse on, and once per row without.
+  const sw::SweepPlan plan = sw::make_registered_plan("operating_grid");
+  ASSERT_EQ(plan.scenarios.size(), 9u);
+  const sw::SweepResult reused = sw::SweepRunner({1, true}).run(plan);
+  const sw::SweepResult fresh = sw::SweepRunner({1, false}).run(plan);
+  ASSERT_EQ(reused.failure_count(), 0);
+  EXPECT_EQ(reused.exec.rail_solves, 1);
+  EXPECT_EQ(fresh.exec.rail_solves, 9);
 }
 
 TEST(SweepCache, CachedAndUncachedRowsByteIdenticalAtAnyThreadCount) {

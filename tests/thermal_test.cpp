@@ -47,6 +47,24 @@ th::OperatingPoint nominal_op() {
   return op;
 }
 
+/// One backward-Euler step of a single-die stack on `context`.
+th::ThermalSolution context_step(th::ThermalSolveContext& context,
+                                 const brightsi::numerics::Grid3<double>& state,
+                                 const ch::Floorplan& fp, const th::OperatingPoint& op,
+                                 double dt_s) {
+  const ch::Floorplan* floorplans[] = {&fp};
+  return context.step_transient(state, floorplans, op, dt_s);
+}
+
+/// One step on a fresh context: the cold one-shot step.
+th::ThermalSolution step_once(const th::ThermalModel& model,
+                              const brightsi::numerics::Grid3<double>& state,
+                              const ch::Floorplan& fp, const th::OperatingPoint& op,
+                              double dt_s) {
+  th::ThermalSolveContext context(model);
+  return context_step(context, state, fp, op, dt_s);
+}
+
 /// Asserts that `fn` throws std::invalid_argument whose message contains
 /// `expected` — the validate() contract is that errors name the offending
 /// layer.
@@ -341,7 +359,7 @@ TEST(ThermalModel, TransientConvergesToSteadyState) {
   auto state = model.uniform_state(kInlet);
   double peak = 0.0;
   for (int step = 0; step < 40; ++step) {
-    const auto sol = model.step_transient(state, fp, op, 0.05);
+    const auto sol = step_once(model, state, fp, op, 0.05);
     state = sol.temperature_k;
     peak = sol.peak_temperature_k;
   }
@@ -354,7 +372,7 @@ TEST(ThermalModel, TransientStepMovesTowardSteady) {
   const auto fp = ch::make_power7_floorplan();
   const auto op = nominal_op();
   auto state = model.uniform_state(kInlet);
-  const auto after = model.step_transient(state, fp, op, 0.01);
+  const auto after = step_once(model, state, fp, op, 0.01);
   EXPECT_GT(after.peak_temperature_k, kInlet);
   const auto steady = model.solve_steady(fp, op);
   EXPECT_LT(after.peak_temperature_k, steady.peak_temperature_k + 1e-6);
@@ -365,9 +383,9 @@ TEST(ThermalModel, TransientRejectsBadInputs) {
                                ch::kPower7DieHeightM, coarse_grid());
   const auto fp = ch::make_power7_floorplan();
   auto state = model.uniform_state(kInlet);
-  EXPECT_THROW(model.step_transient(state, fp, nominal_op(), 0.0), std::invalid_argument);
+  EXPECT_THROW(step_once(model, state, fp, nominal_op(), 0.0), std::invalid_argument);
   const auto wrong = brightsi::numerics::Grid3<double>(2, 2, 2, kInlet);
-  EXPECT_THROW(model.step_transient(wrong, fp, nominal_op(), 0.1), std::invalid_argument);
+  EXPECT_THROW(step_once(model, wrong, fp, nominal_op(), 0.1), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ solve context
@@ -440,8 +458,8 @@ TEST(SolveContext, TransientStepsMatchTheOneShotPath) {
   auto state_context = model.uniform_state(kInlet);
   th::ThermalSolveContext context(model);
   for (int step = 0; step < 5; ++step) {
-    const auto a = model.step_transient(state_one_shot, fp, op, 0.05);
-    const auto b = context.step_transient(state_context, fp, op, 0.05);
+    const auto a = step_once(model, state_one_shot, fp, op, 0.05);
+    const auto b = context_step(context, state_context, fp, op, 0.05);
     state_one_shot = a.temperature_k;
     state_context = b.temperature_k;
     ASSERT_EQ(state_context.data(), state_one_shot.data()) << "step " << step;
@@ -457,8 +475,8 @@ TEST(SolveContext, MixedSteadyAndTransientSolvesShareOneContext) {
   const auto steady = context.solve_steady(fp, op);
   // A transient step from the steady field stays put (it is the fixed point
   // of the backward-Euler map), even through the mode switch.
-  const auto step = context.step_transient(steady.temperature_k, fp, op, 0.05);
-  EXPECT_NEAR(step.peak_temperature_k, steady.peak_temperature_k, 1e-6);
+  const auto stepped = context_step(context, steady.temperature_k, fp, op, 0.05);
+  EXPECT_NEAR(stepped.peak_temperature_k, steady.peak_temperature_k, 1e-6);
   const auto steady_again = context.solve_steady(fp, op);
   EXPECT_NEAR(steady_again.peak_temperature_k, steady.peak_temperature_k, 1e-6);
 }
@@ -474,7 +492,7 @@ TEST(SolveContext, NonConvergenceReportsResidualAndIterations) {
   auto state = model.uniform_state(kInlet);
   for (const auto& attempt :
        {std::function<void()>([&] { (void)model.solve_steady(fp, nominal_op()); }),
-        std::function<void()>([&] { (void)model.step_transient(state, fp, nominal_op(), 0.05); })}) {
+        std::function<void()>([&] { (void)step_once(model, state, fp, nominal_op(), 0.05); })}) {
     try {
       attempt();
       FAIL() << "expected non-convergence";
@@ -636,15 +654,11 @@ TEST(SolverConfig, DefaultIsIlu0) {
   // The golden fig9 / sweep byte-identity guarantees hang off this default.
   const th::ThermalGridSettings settings;
   EXPECT_EQ(settings.solver_config.kind, th::SolverKind::kIlu0);
-  EXPECT_FALSE(settings.solver_config.multigrid.mixed_precision);
 }
 
-TEST(SolverConfig, ParseAndNameRoundTrip) {
-  EXPECT_EQ(th::parse_solver_kind("ilu0"), th::SolverKind::kIlu0);
-  EXPECT_EQ(th::parse_solver_kind("mg"), th::SolverKind::kMultigrid);
+TEST(SolverConfig, KindNamesAreTheCliVocabulary) {
   EXPECT_STREQ(th::solver_kind_name(th::SolverKind::kIlu0), "ilu0");
   EXPECT_STREQ(th::solver_kind_name(th::SolverKind::kMultigrid), "mg");
-  EXPECT_THROW((void)th::parse_solver_kind("cholesky"), std::invalid_argument);
 }
 
 TEST(SolverConfig, ZCellThicknessesMatchTheStack) {
@@ -713,22 +727,6 @@ TEST(SolverConfig, MultigridMatchesIlu0OnThreeDieStack) {
   EXPECT_GE(ilu.solver_report.setup_time_s, 0.0);
 }
 
-TEST(SolverConfig, MixedPrecisionCycleMatchesWithinSolverTolerance) {
-  th::ThermalModel::GridSettings f32 = mg_grid();
-  f32.solver_config.multigrid.mixed_precision = true;
-  const auto fp = ch::make_power7_floorplan();
-  const th::ThermalModel mg_model(th::two_die_stack(), ch::kPower7DieWidthM,
-                                  ch::kPower7DieHeightM, mg_grid());
-  const th::ThermalModel f32_model(th::two_die_stack(), ch::kPower7DieWidthM,
-                                   ch::kPower7DieHeightM, f32);
-  const auto memory_die = ch::make_power7_floorplan(ch::memory_die_power_spec());
-  const ch::Floorplan* floorplans[] = {&fp, &memory_die};
-  const auto full = mg_model.solve_steady(floorplans, nominal_op());
-  const auto mixed = f32_model.solve_steady(floorplans, nominal_op());
-  ASSERT_TRUE(mixed.solver_report.converged);
-  EXPECT_NEAR(mixed.peak_temperature_k, full.peak_temperature_k, 1e-5);
-}
-
 TEST(SolverConfig, MultigridTransientStepMatchesIlu0) {
   const auto fp = ch::make_power7_floorplan();
   const th::ThermalModel ilu_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
@@ -736,8 +734,8 @@ TEST(SolverConfig, MultigridTransientStepMatchesIlu0) {
   const th::ThermalModel mg_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
                                   ch::kPower7DieHeightM, mg_grid());
   const auto state = ilu_model.uniform_state(kInlet);
-  const auto ilu = ilu_model.step_transient(state, fp, nominal_op(), 1e-3);
-  const auto mg = mg_model.step_transient(state, fp, nominal_op(), 1e-3);
+  const auto ilu = step_once(ilu_model, state, fp, nominal_op(), 1e-3);
+  const auto mg = step_once(mg_model, state, fp, nominal_op(), 1e-3);
   ASSERT_TRUE(mg.solver_report.converged);
   EXPECT_NEAR(mg.peak_temperature_k, ilu.peak_temperature_k, 1e-6);
 }

@@ -1,14 +1,16 @@
 // Tests of the shared transient engine: phase-boundary-aligned step
 // scheduling (full trace coverage — no truncated tails), sample
-// decimation, outlet fallbacks, in-place state hand-off equivalence and
-// resumable checkpoints.
+// decimation, outlet fallbacks, workload-trace replay, in-place state
+// hand-off equivalence and resumable checkpoints.
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chip/power7.h"
 #include "thermal/stack.h"
-#include "thermal/trace_runner.h"
 #include "thermal/transient.h"
 
 namespace th = brightsi::thermal;
@@ -28,6 +30,44 @@ th::OperatingPoint nominal_op() {
   op.total_flow_m3_per_s = 676e-6 / 60.0;
   op.inlet_temperature_k = 300.15;
   return op;
+}
+
+/// What a trace run records per sampled step, and over the whole run.
+struct TraceRun {
+  struct Sample {
+    double time_s = 0.0;
+    double dt_s = 0.0;
+    std::string phase;
+    double peak_k = 0.0;
+    double outlet_k = 0.0;
+    double power_w = 0.0;
+  };
+  std::vector<Sample> samples;
+  double max_peak_k = 0.0;  ///< over every step, sampled or not
+  brightsi::numerics::Grid3<double> final_state;
+};
+
+/// Steps `trace` through a fresh TransientEngine on the POWER7+ floorplans.
+TraceRun run_trace(const th::ThermalModel& model, const th::OperatingPoint& op,
+                   const ch::WorkloadTrace& trace, double dt_s,
+                   const brightsi::numerics::Grid3<double>* initial_state = nullptr,
+                   int sample_stride = 1) {
+  th::TransientEngineOptions options;
+  options.schedule.dt_s = dt_s;
+  options.sample_stride = sample_stride;
+  options.initial_state = initial_state;
+  th::TransientEngine engine(model, op, options);
+  TraceRun run;
+  engine.run(trace, ch::Power7PowerSpec{}, [&](const th::TransientEngine::StepView& view) {
+    run.max_peak_k = std::max(run.max_peak_k, view.solution.peak_temperature_k);
+    if (view.sampled) {
+      run.samples.push_back({view.step.t_end_s, view.step.dt_s(), view.phase.name,
+                             view.solution.peak_temperature_k, view.mean_outlet_k,
+                             view.solution.total_power_w});
+    }
+  });
+  run.final_state = engine.take_state();
+  return run;
 }
 
 // ------------------------------------------------------------- scheduling
@@ -138,27 +178,25 @@ TEST(TransientSchedule, RejectsBadInputs) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------------------ trace runner
-
-TEST(TraceRunner, FullCoverageWithAwkwardDt) {
+// ------------------------------------------------------------ trace replay
+TEST(TraceReplay, FullCoverageWithAwkwardDt) {
   const auto model = make_model();
   // 1.0 s at dt 0.3: the old truncating loop recorded 3 samples ending at
   // 0.9 s; the engine records 4 ending at exactly 1.0 s.
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(1.0), nominal_op(), 0.3);
-  ASSERT_EQ(result.samples.size(), 4u);
-  EXPECT_NEAR(result.samples.back().time_s, 1.0, 1e-9);
-  EXPECT_NEAR(result.samples.back().dt_s, 0.1, 1e-12);
+  const auto run = run_trace(model, nominal_op(), ch::full_load_trace(1.0), 0.3);
+  ASSERT_EQ(run.samples.size(), 4u);
+  EXPECT_NEAR(run.samples.back().time_s, 1.0, 1e-9);
+  EXPECT_NEAR(run.samples.back().dt_s, 0.1, 1e-12);
 }
 
-TEST(TraceRunner, LongDivisibleTraceKeepsItsTail) {
+TEST(TraceReplay, LongDivisibleTraceKeepsItsTail) {
   const auto trace = ch::full_load_trace(10.0);
   const auto schedule = th::make_transient_schedule(trace, {0.1, true});
   EXPECT_EQ(schedule.size(), 100u);
   EXPECT_NEAR(schedule.back().t_end_s, trace.total_duration_s(), 1e-9);
 }
 
-TEST(TraceRunner, SolidStackFallsBackToInletOutlet) {
+TEST(TraceReplay, SolidStackFallsBackToInletOutlet) {
   // A channel-less (conventional air-cooled) stack has no outlet
   // temperatures; the sample must fall back to the inlet temperature, not
   // report 0 K.
@@ -166,28 +204,65 @@ TEST(TraceRunner, SolidStackFallsBackToInletOutlet) {
                                ch::kPower7DieHeightM);
   th::OperatingPoint op;
   op.inlet_temperature_k = 318.15;
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(0.2), op, 0.1);
-  ASSERT_FALSE(result.samples.empty());
-  for (const th::TraceSample& sample : result.samples) {
-    EXPECT_DOUBLE_EQ(sample.mean_outlet_k, 318.15);
+  const auto run = run_trace(model, op, ch::full_load_trace(0.2), 0.1);
+  ASSERT_FALSE(run.samples.empty());
+  for (const TraceRun::Sample& sample : run.samples) {
+    EXPECT_DOUBLE_EQ(sample.outlet_k, 318.15);
   }
 }
 
-TEST(TraceRunner, SampleDecimationKeepsTheTail) {
+TEST(TraceReplay, SampleDecimationKeepsTheTail) {
   const auto model = make_model();
-  const auto all = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                         ch::full_load_trace(1.0), nominal_op(), 0.1);
-  const auto thinned = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                             ch::full_load_trace(1.0), nominal_op(), 0.1,
-                                             nullptr, 3);
+  const auto all = run_trace(model, nominal_op(), ch::full_load_trace(1.0), 0.1);
+  const auto thinned =
+      run_trace(model, nominal_op(), ch::full_load_trace(1.0), 0.1, nullptr, 3);
   ASSERT_EQ(all.samples.size(), 10u);
   ASSERT_EQ(thinned.samples.size(), 4u);  // steps 3, 6, 9, plus the final 10th
   EXPECT_NEAR(thinned.samples.back().time_s, 1.0, 1e-9);
   // Decimation only drops records: the stepping (and final state) match.
-  EXPECT_DOUBLE_EQ(thinned.max_peak_temperature_k, all.max_peak_temperature_k);
+  EXPECT_DOUBLE_EQ(thinned.max_peak_k, all.max_peak_k);
   ASSERT_EQ(thinned.final_state.size(), all.final_state.size());
   EXPECT_EQ(thinned.final_state.data(), all.final_state.data());
+}
+
+TEST(TraceReplay, RecordsOneSamplePerStep) {
+  const auto run = run_trace(make_model(), nominal_op(), ch::full_load_trace(0.5), 0.1);
+  EXPECT_EQ(run.samples.size(), 5u);
+  EXPECT_EQ(run.samples.front().phase, "full-load");
+  EXPECT_GT(run.max_peak_k, 300.15);
+}
+
+TEST(TraceReplay, TemperatureRisesDuringBurst) {
+  const auto run = run_trace(make_model(), nominal_op(), ch::burst_trace(1), 0.1);
+  // Find the last idle sample and a late burst sample.
+  double idle_peak = 0.0, burst_peak = 0.0;
+  for (const TraceRun::Sample& s : run.samples) {
+    if (s.phase == "idle") {
+      idle_peak = s.peak_k;
+    }
+    if (s.phase == "burst") {
+      burst_peak = s.peak_k;
+    }
+  }
+  EXPECT_GT(burst_peak, idle_peak + 1.0);
+}
+
+TEST(TraceReplay, FinalStateSeedsFollowUpRun) {
+  const auto model = make_model();
+  const auto warmup = run_trace(model, nominal_op(), ch::full_load_trace(0.5), 0.1);
+  const auto cont =
+      run_trace(model, nominal_op(), ch::full_load_trace(0.2), 0.1, &warmup.final_state);
+  // Continuation starts hot: its first sample exceeds a cold first sample.
+  const auto cold = run_trace(model, nominal_op(), ch::full_load_trace(0.2), 0.1);
+  EXPECT_GT(cont.samples.front().peak_k, cold.samples.front().peak_k + 1.0);
+}
+
+TEST(TraceReplay, PowerFollowsPhases) {
+  const auto run = run_trace(make_model(), nominal_op(), ch::memory_bound_trace(0.3), 0.1);
+  const double full_power_w = ch::make_power7_floorplan().total_power();
+  for (const TraceRun::Sample& s : run.samples) {
+    EXPECT_LT(s.power_w, full_power_w);
+  }
 }
 
 // --------------------------------------------------------------- engine
@@ -196,13 +271,9 @@ TEST(TransientEngine, ResumedRunMatchesSingleRun) {
   const auto model = make_model();
   const auto op = nominal_op();
 
-  const auto whole = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                           ch::full_load_trace(1.0), op, 0.1);
-  const auto first = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                           ch::full_load_trace(0.5), op, 0.1);
-  const auto second = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(0.5), op, 0.1,
-                                            &first.final_state);
+  const auto whole = run_trace(model, op, ch::full_load_trace(1.0), 0.1);
+  const auto first = run_trace(model, op, ch::full_load_trace(0.5), 0.1);
+  const auto second = run_trace(model, op, ch::full_load_trace(0.5), 0.1, &first.final_state);
   // The split run walks the identical step sequence, so fields agree to
   // solver tolerance.
   ASSERT_EQ(whole.final_state.size(), second.final_state.size());
@@ -212,8 +283,7 @@ TEST(TransientEngine, ResumedRunMatchesSingleRun) {
                      std::abs(whole.final_state.data()[i] - second.final_state.data()[i]));
   }
   EXPECT_LT(worst, 1e-3);
-  EXPECT_NEAR(whole.samples.back().peak_temperature_k,
-              second.samples.back().peak_temperature_k, 1e-3);
+  EXPECT_NEAR(whole.samples.back().peak_k, second.samples.back().peak_k, 1e-3);
 }
 
 TEST(TransientEngine, StatsAccumulateAcrossRuns) {

@@ -102,7 +102,8 @@ void print_result(const op::OptResult& result) {
   if (const int builds = result.archive.exec.model_builds; builds > 0) {
     // Only meaningful for evaluators that go through the thermal-model
     // structure cache; the rail evaluator, for example, never does.
-    std::printf("; %d thermal builds, %lld cache hits", builds, result.evaluations() - builds);
+    std::printf("; %d thermal builds, %lld cache hits, %d rail solves", builds,
+                result.evaluations() - builds, result.archive.exec.rail_solves);
   }
   std::printf("\n");
 

@@ -1,13 +1,12 @@
 // brightsi_sweep — run design-space sweeps of the integrated microfluidic
 // power/cooling system on every core.
 //
-//   brightsi_sweep --list                      registered plans
+//   brightsi_sweep --list                      registered plans and evaluators
 //   brightsi_sweep --params                    sweepable parameters
 //   brightsi_sweep <plan> [options]            run a registered plan
 //   brightsi_sweep custom --evaluator <name>
 //       --grid p=v1,v2,... [--grid ...] [--set p=v ...]   ad-hoc sweep
-//       (evaluators: cosim, array, array_thermal, rail, mission, stack,
-//        fleet, fleet_replay)
+//       (--list shows the evaluators)
 //
 // Options:
 //   --threads N     worker threads (default: hardware concurrency)
@@ -52,24 +51,34 @@ using brightsi::core::TextTable;
 namespace {
 
 int usage(const char* argv0, int exit_code) {
+  std::string evaluators;
+  for (const sw::EvaluatorDescription& evaluator : sw::registered_evaluators()) {
+    evaluators += (evaluators.empty() ? "" : "|") + evaluator.name;
+  }
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s --list | --params\n"
                "       %s <plan> [--threads N] [--csv FILE] [--json FILE]"
                " [--timing FILE] [--quiet] [--no-reuse] [--solver ilu0|mg]"
                " [--transient full|rom] [--store DIR [--shard I/N] [--limit N]"
                " [--lease-timeout S]]\n"
-               "       %s custom --evaluator cosim|array|array_thermal|rail|mission|stack"
-               "|fleet|fleet_replay (--grid p=v1,v2,... | --set p=v)... [options]\n",
-               argv0, argv0, argv0);
+               "       %s custom --evaluator %s (--grid p=v1,v2,... | --set p=v)..."
+               " [options]\n",
+               argv0, argv0, argv0, evaluators.c_str());
   return exit_code;
 }
 
 void list_plans() {
-  TextTable table({"plan", "summary"});
+  TextTable plans({"plan", "summary"});
   for (const sw::PlanDescription& plan : sw::registered_plans()) {
-    table.add_row({plan.name, plan.summary});
+    plans.add_row({plan.name, plan.summary});
   }
-  table.print(std::cout);
+  plans.print(std::cout);
+  std::printf("\n");
+  TextTable evaluators({"evaluator", "summary"});
+  for (const sw::EvaluatorDescription& evaluator : sw::registered_evaluators()) {
+    evaluators.add_row({evaluator.name, evaluator.summary});
+  }
+  evaluators.print(std::cout);
 }
 
 void list_parameters() {
@@ -129,9 +138,15 @@ void print_result_table(const sw::SweepResult& result) {
     table.add_row(std::move(cells));
   }
   table.print(std::cout);
-  std::printf("\n%zu scenarios (%d failed) in %.2f s on %d threads (%.2f scenarios/s)\n",
+  std::printf("\n%zu scenarios (%d failed) in %.2f s on %d threads (%.2f scenarios/s)",
               result.rows.size(), result.failure_count(), result.wall_time_s,
               result.thread_count, result.scenarios_per_second());
+  if (const int builds = result.exec.model_builds; builds > 0) {
+    // Only evaluators that go through the worker structure caches build
+    // thermal models or solve the cache rail.
+    std::printf("; %d thermal builds, %d rail solves", builds, result.exec.rail_solves);
+  }
+  std::printf("\n");
 }
 
 }  // namespace
