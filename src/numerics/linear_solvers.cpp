@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "numerics/contracts.h"
 
@@ -35,6 +36,27 @@ double seconds_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// Calls `sweep` with the line count as a compile-time constant, so the
+/// per-step loop over a group's lines unrolls (and a one-line group is a
+/// plain row-by-row loop).
+template <typename Sweep>
+void with_line_count(int lines, Sweep&& sweep) {
+  switch (lines) {
+    case 4:
+      sweep(std::integral_constant<int, 4>{});
+      break;
+    case 3:
+      sweep(std::integral_constant<int, 3>{});
+      break;
+    case 2:
+      sweep(std::integral_constant<int, 2>{});
+      break;
+    default:
+      sweep(std::integral_constant<int, 1>{});
+      break;
+  }
+}
+
 }  // namespace
 
 void KrylovWorkspace::resize(std::size_t n) {
@@ -62,7 +84,116 @@ Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) {
                                std::to_string(r));
     }
   }
+  build_schedule();
   factorize(a);
+}
+
+void Ilu0Preconditioner::build_schedule() {
+  // Lines: row i continues row i-1's line when its strictly-lower part
+  // holds column i-1 (the last lower entry, as columns are sorted).
+  std::vector<int> line_begin;  // first row per line, then n_ as sentinel
+  std::vector<int> line_of(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) {
+    const int lower_end = diagonal_position_[static_cast<std::size_t>(i)];
+    const bool chained = lower_end > row_offsets_[static_cast<std::size_t>(i)] &&
+                         column_indices_[static_cast<std::size_t>(lower_end) - 1] == i - 1;
+    if (!chained) {
+      line_begin.push_back(i);
+    }
+    line_of[static_cast<std::size_t>(i)] = static_cast<int>(line_begin.size()) - 1;
+  }
+  line_begin.push_back(n_);
+  const int line_count = static_cast<int>(line_begin.size()) - 1;
+
+  // A line's level is one more than the highest level of any other line
+  // it reads: through L, lines are final in ascending order; through U,
+  // in descending order.
+  std::vector<int> forward_level(static_cast<std::size_t>(line_count), 0);
+  std::vector<int> backward_level(static_cast<std::size_t>(line_count), 0);
+  for (int line = 0; line < line_count; ++line) {
+    const int begin = line_begin[static_cast<std::size_t>(line)];
+    int level = 0;
+    for (int i = begin; i < line_begin[static_cast<std::size_t>(line) + 1]; ++i) {
+      for (int k = row_offsets_[static_cast<std::size_t>(i)];
+           k < diagonal_position_[static_cast<std::size_t>(i)]; ++k) {
+        const int col = column_indices_[static_cast<std::size_t>(k)];
+        if (col < begin) {
+          level = std::max(level,
+                           forward_level[static_cast<std::size_t>(
+                               line_of[static_cast<std::size_t>(col)])] + 1);
+        }
+      }
+    }
+    forward_level[static_cast<std::size_t>(line)] = level;
+  }
+  for (int line = line_count - 1; line >= 0; --line) {
+    const int end = line_begin[static_cast<std::size_t>(line) + 1];
+    int level = 0;
+    for (int i = line_begin[static_cast<std::size_t>(line)]; i < end; ++i) {
+      for (int k = diagonal_position_[static_cast<std::size_t>(i)] + 1;
+           k < row_offsets_[static_cast<std::size_t>(i) + 1]; ++k) {
+        const int col = column_indices_[static_cast<std::size_t>(k)];
+        if (col >= end) {
+          level = std::max(level,
+                           backward_level[static_cast<std::size_t>(
+                               line_of[static_cast<std::size_t>(col)])] + 1);
+        }
+      }
+    }
+    backward_level[static_cast<std::size_t>(line)] = level;
+  }
+
+  // Groups: lines of one level in ascending (length, first row) order, up
+  // to kMaxGroupLines of equal length per group. Then one-line groups that
+  // continue each other in sweep order merge, which keeps their row order
+  // (a 2-D mesh becomes one row-by-row run).
+  auto group_lines = [&](const std::vector<int>& level, bool descending,
+                         std::vector<LineGroup>& groups) {
+    auto length_of = [&](int line) {
+      return line_begin[static_cast<std::size_t>(line) + 1] -
+             line_begin[static_cast<std::size_t>(line)];
+    };
+    std::vector<int> order(static_cast<std::size_t>(line_count));
+    for (int line = 0; line < line_count; ++line) {
+      order[static_cast<std::size_t>(line)] = line;
+    }
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      const int la = level[static_cast<std::size_t>(a)];
+      const int lb = level[static_cast<std::size_t>(b)];
+      return la != lb ? la < lb : length_of(a) < length_of(b);
+    });
+    groups.clear();
+    int group_level = -1;
+    for (const int line : order) {
+      const int line_level = level[static_cast<std::size_t>(line)];
+      if (groups.empty() || groups.back().lines == kMaxGroupLines ||
+          groups.back().length != length_of(line) || group_level != line_level) {
+        groups.push_back(LineGroup{{}, 0, length_of(line)});
+        group_level = line_level;
+      }
+      LineGroup& group = groups.back();
+      group.first_row[static_cast<std::size_t>(group.lines++)] =
+          line_begin[static_cast<std::size_t>(line)];
+    }
+    std::size_t kept = 0;
+    for (const LineGroup& group : groups) {
+      if (kept > 0 && groups[kept - 1].lines == 1 && group.lines == 1) {
+        LineGroup& run = groups[kept - 1];
+        const int below = descending ? group.first_row[0] : run.first_row[0];
+        const int above = descending ? run.first_row[0] : group.first_row[0];
+        const int below_length = descending ? group.length : run.length;
+        if (below + below_length == above) {
+          run.first_row[0] = below;
+          run.length += group.length;
+          continue;
+        }
+      }
+      groups[kept++] = group;
+    }
+    groups.resize(kept);
+  };
+  group_lines(forward_level, false, forward_groups_);
+  group_lines(backward_level, true, backward_groups_);
 }
 
 void Ilu0Preconditioner::refactor(const CsrMatrix& a) {
@@ -119,26 +250,41 @@ void Ilu0Preconditioner::factorize(const CsrMatrix& a) {
 void Ilu0Preconditioner::apply(std::span<const double> r, std::span<double> z) const {
   ensure(static_cast<int>(r.size()) == n_ && static_cast<int>(z.size()) == n_,
          "Ilu0Preconditioner::apply size mismatch");
-  // Forward solve L y = r (unit diagonal L).
-  for (int i = 0; i < n_; ++i) {
-    double sum = r[static_cast<std::size_t>(i)];
-    for (int k = row_offsets_[static_cast<std::size_t>(i)];
-         k < diagonal_position_[static_cast<std::size_t>(i)]; ++k) {
-      sum -= values_[static_cast<std::size_t>(k)] *
-             z[static_cast<std::size_t>(column_indices_[static_cast<std::size_t>(k)])];
-    }
-    z[static_cast<std::size_t>(i)] = sum;
+  const int* offsets = row_offsets_.data();
+  const int* columns = column_indices_.data();
+  const int* diagonal = diagonal_position_.data();
+  const double* values = values_.data();
+  const double* in = r.data();
+  double* out = z.data();
+  // Forward solve L y = r (unit diagonal L), line group by line group.
+  for (const LineGroup& group : forward_groups_) {
+    with_line_count(group.lines, [&](auto lines) {
+      for (int step = 0; step < group.length; ++step) {
+        for (int line = 0; line < lines; ++line) {
+          const int i = group.first_row[static_cast<std::size_t>(line)] + step;
+          double sum = in[i];
+          for (int k = offsets[i]; k < diagonal[i]; ++k) {
+            sum -= values[k] * out[columns[k]];
+          }
+          out[i] = sum;
+        }
+      }
+    });
   }
-  // Backward solve U z = y.
-  for (int i = n_ - 1; i >= 0; --i) {
-    double sum = z[static_cast<std::size_t>(i)];
-    for (int k = diagonal_position_[static_cast<std::size_t>(i)] + 1;
-         k < row_offsets_[static_cast<std::size_t>(i) + 1]; ++k) {
-      sum -= values_[static_cast<std::size_t>(k)] *
-             z[static_cast<std::size_t>(column_indices_[static_cast<std::size_t>(k)])];
-    }
-    z[static_cast<std::size_t>(i)] =
-        sum / values_[static_cast<std::size_t>(diagonal_position_[static_cast<std::size_t>(i)])];
+  // Backward solve U z = y, each line from its last row down.
+  for (const LineGroup& group : backward_groups_) {
+    with_line_count(group.lines, [&](auto lines) {
+      for (int step = group.length - 1; step >= 0; --step) {
+        for (int line = 0; line < lines; ++line) {
+          const int i = group.first_row[static_cast<std::size_t>(line)] + step;
+          double sum = out[i];
+          for (int k = diagonal[i] + 1; k < offsets[i + 1]; ++k) {
+            sum -= values[k] * out[columns[k]];
+          }
+          out[i] = sum / values[diagonal[i]];
+        }
+      }
+    });
   }
 }
 
@@ -233,16 +379,21 @@ SolverReport run_bicgstab(const CsrMatrix& a, std::span<const double> b, std::sp
   const double b_norm = norm(b);
   const double target = std::max(options.relative_tolerance * b_norm, options.absolute_tolerance);
 
+  // Each reduction below is fused into a loop that already runs, with its
+  // terms summed in i = 0..n-1 order, so every scalar is bitwise the
+  // separate dot product's.
   SolverReport report;
-  report.residual_norm = norm(r);
+  double r_r = dot(r, r);
+  report.residual_norm = std::sqrt(r_r);
   if (report.residual_norm <= target) {
     report.converged = true;
     return report;
   }
 
   double rho = 1.0, alpha = 1.0, omega = 1.0;
+  double r0_r = r_r;  // r0 == r before the first iteration
   for (int it = 1; it <= options.max_iterations; ++it) {
-    const double rho_next = dot(r0, r);
+    const double rho_next = r0_r;
     if (rho_next == 0.0) {
       break;  // breakdown
     }
@@ -267,13 +418,16 @@ SolverReport run_bicgstab(const CsrMatrix& a, std::span<const double> b, std::sp
       break;
     }
     alpha = rho / r0_v;
+    double s_s = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       s[i] = r[i] - alpha * v[i];
+      s_s += s[i] * s[i];
     }
     report.iterations = it;
-    if (norm(s) <= target) {
+    const double s_norm = std::sqrt(s_s);
+    if (s_norm <= target) {
       axpy(alpha, phat, x);
-      report.residual_norm = norm(s);
+      report.residual_norm = s_norm;
       report.converged = true;
       return report;
     }
@@ -284,16 +438,24 @@ SolverReport run_bicgstab(const CsrMatrix& a, std::span<const double> b, std::sp
       identity_apply(s, shat);
     }
     a.multiply(shat, t);
-    const double t_t = dot(t, t);
+    double t_t = 0.0, t_s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      t_t += t[i] * t[i];
+      t_s += t[i] * s[i];
+    }
     if (t_t == 0.0) {
       break;
     }
-    omega = dot(t, s) / t_t;
+    omega = t_s / t_t;
+    r_r = 0.0;
+    r0_r = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       x[i] += alpha * phat[i] + omega * shat[i];
       r[i] = s[i] - omega * t[i];
+      r_r += r[i] * r[i];
+      r0_r += r0[i] * r[i];
     }
-    report.residual_norm = norm(r);
+    report.residual_norm = std::sqrt(r_r);
     if (report.residual_norm <= target) {
       report.converged = true;
       return report;

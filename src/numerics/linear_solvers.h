@@ -9,6 +9,7 @@
 #ifndef BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
 #define BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
 
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,6 +59,20 @@ class Preconditioner {
 
 /// Incomplete LU factorization with zero fill-in on the sparsity pattern of A.
 /// Well suited to the 7-point finite-volume stencils used in this project.
+///
+/// The triangular sweeps of apply() follow a schedule built once from the
+/// pattern. A *line* is a maximal run of consecutive rows in which every
+/// row's strictly-lower part holds column i-1 (on the thermal grid: one
+/// x-row of cells). A line's forward level is one more than the highest
+/// level of any other line its L entries read; backward levels come the
+/// same way from the U entries, top down. Lines of one level never read
+/// each other, so apply() advances up to four equal-length lines of a level
+/// together, one row of each per step, and the CPU overlaps their
+/// dependency chains. Every row keeps its subtractions in column order and
+/// reads only rows that are already final, so z is bitwise what plain
+/// row-by-row sweeps give. A pattern without line structure (a 2-D mesh)
+/// gets one line per level, and such one-line groups that continue each
+/// other merge into one run: the row-by-row sweep.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   /// Throws std::runtime_error when a zero pivot is encountered.
@@ -72,9 +87,22 @@ class Ilu0Preconditioner final : public Preconditioner {
   void refactor(const CsrMatrix& a);
 
  private:
+  static constexpr int kMaxGroupLines = 4;
+
+  /// Up to kMaxGroupLines equal-length lines of one sweep level, advanced
+  /// together.
+  struct LineGroup {
+    std::array<int, kMaxGroupLines> first_row{};
+    int lines = 0;
+    int length = 0;
+  };
+
   void factorize(const CsrMatrix& a);
+  void build_schedule();
 
   int n_ = 0;
+  std::vector<LineGroup> forward_groups_;   // in forward level order
+  std::vector<LineGroup> backward_groups_;  // in backward level order
   std::vector<int> row_offsets_;
   std::vector<int> column_indices_;
   std::vector<double> values_;          // merged L (unit diagonal implied) and U

@@ -49,6 +49,8 @@ struct OperatingPoint {
   CoolantProperties coolant;
 
   void validate(bool has_channels) const;
+
+  friend bool operator==(const OperatingPoint&, const OperatingPoint&) = default;
 };
 
 /// Per-block temperature summary. Blocks of dies above the bottom one are
@@ -269,7 +271,11 @@ class ThermalModel {
   /// per solve by the caller and shared with package_solution. The
   /// (row, col) stamp sequence is deterministic and identical for every
   /// operating point at a fixed mode (steady vs transient), which is what
-  /// makes the solve contexts' scatter-plan caching valid.
+  /// makes the solve contexts' scatter-plan caching valid. The stamped
+  /// matrix values depend only on `op` and `capacity_over_dt`
+  /// (`layer_flows` is a function of `op`); floorplans and `previous`
+  /// enter the RHS alone, which is what lets a solve context keep its
+  /// factorization while that pair repeats.
   void fill_operator(std::span<const chip::Floorplan* const> floorplans,
                      const OperatingPoint& op, const std::vector<double>& layer_flows,
                      double capacity_over_dt, const numerics::Grid3<double>* previous,

@@ -84,24 +84,37 @@ ThermalSolution ThermalSolveContext::solve(std::span<const chip::Floorplan* cons
   stats_.assembly_time_s += seconds_since(assembly_start);
 
   // Preconditioner setup (timed separately from assembly): numeric
-  // refactorization on the fixed pattern, or a first-call build.
+  // refactorization on the fixed pattern, or a first-call build. The
+  // matrix is a function of (op, capacity_over_dt) alone, so a solve on
+  // the pair of the last factorization keeps that factorization.
   const auto setup_start = std::chrono::steady_clock::now();
-  const numerics::Preconditioner* preconditioner = nullptr;
-  if (model_->settings().solver_config.kind == SolverKind::kMultigrid) {
-    if (multigrid_ != nullptr) {
-      multigrid_->refactor(matrix_);
+  const bool multigrid = model_->settings().solver_config.kind == SolverKind::kMultigrid;
+  if (!factored_ || op != factored_op_ || capacity_over_dt != factored_capacity_over_dt_) {
+    factored_ = false;  // until the new factorization succeeds
+    if (multigrid) {
+      if (multigrid_ != nullptr) {
+        multigrid_->refactor(matrix_);
+      } else {
+        multigrid_ = std::make_unique<numerics::MultigridPreconditioner>(
+            matrix_, model_->nx() * model_->ny(), model_->z_cell_thicknesses(),
+            model_->settings().solver_config.multigrid);
+      }
     } else {
-      multigrid_ = std::make_unique<numerics::MultigridPreconditioner>(
-          matrix_, model_->nx() * model_->ny(), model_->z_cell_thicknesses(),
-          model_->settings().solver_config.multigrid);
+      if (ilu_ != nullptr) {
+        ilu_->refactor(matrix_);
+      } else {
+        ilu_ = std::make_unique<numerics::Ilu0Preconditioner>(matrix_);
+      }
     }
+    factored_ = true;
+    factored_op_ = op;
+    factored_capacity_over_dt_ = capacity_over_dt;
+    stats_.factorizations += 1;
+  }
+  const numerics::Preconditioner* preconditioner = nullptr;
+  if (multigrid) {
     preconditioner = multigrid_.get();
   } else {
-    if (ilu_ != nullptr) {
-      ilu_->refactor(matrix_);
-    } else {
-      ilu_ = std::make_unique<numerics::Ilu0Preconditioner>(matrix_);
-    }
     preconditioner = ilu_.get();
   }
   const double setup_time_s = seconds_since(setup_start);

@@ -39,6 +39,10 @@ class ThermalSolveContext {
     /// stamping cost from solver setup cost (docs/BENCHMARKS.md).
     double precond_setup_time_s = 0.0;
     double solve_time_s = 0.0;     ///< time iterating inside the Krylov solver
+    /// Preconditioner builds and refactorizations. A solve whose operating
+    /// point and capacity_over_dt equal those of the last factorization
+    /// reuses it (the operator is the same), so this can trail `solves`.
+    int factorizations = 0;
   };
 
   /// Copies the model's operator pattern; no factorization happens until
@@ -95,6 +99,11 @@ class ThermalSolveContext {
   numerics::KrylovWorkspace workspace_;
   std::vector<double> temperatures_;   // last iterate = warm-start field
   bool warm_ = false;
+  // The (operating point, capacity_over_dt) pair the live preconditioner
+  // was factored for; fill_operator's matrix depends on nothing else.
+  bool factored_ = false;
+  OperatingPoint factored_op_;
+  double factored_capacity_over_dt_ = 0.0;
   Stats stats_;
 };
 

@@ -1,7 +1,7 @@
 // Allocation guard for the steady-path hot loops: the global operator
 // new is replaced with a counter, and the per-station electrochemistry,
-// the wall closure, the CSR/Krylov kernels and the rack queries of every
-// fleet replay step must not allocate. A passing `ensure*` check must not
+// the wall closure, the CSR/Krylov kernels, a preconditioned BiCGSTAB solve
+// and the rack queries of every fleet replay step must not allocate. A passing `ensure*` check must not
 // either, whatever its message length (libstdc++ stores at most 15
 // characters without allocating).
 //
@@ -165,6 +165,21 @@ TEST(AllocationFree, KrylovKernels) {
             }),
             0);
   EXPECT_GT(z[0], 0.0);
+}
+
+TEST(AllocationFree, Ilu0PreconditionedBicgstabWithASizedWorkspace) {
+  const nm::CsrMatrix a = nm::CsrMatrix::from_triplets(64, 64, laplacian_triplets(64));
+  const nm::Ilu0Preconditioner ilu(a);
+  const double t = g_temperature_k;
+  const std::vector<double> b(64, t);
+  std::vector<double> x(64, 0.0);
+  nm::KrylovWorkspace workspace;
+  workspace.resize(64);
+  nm::SolverReport report;
+  EXPECT_EQ(allocations_during([&] { report = nm::solve_bicgstab(a, b, x, &ilu, {}, &workspace); }),
+            0);
+  EXPECT_TRUE(report.converged);
+  EXPECT_GT(report.iterations, 0);
 }
 
 TEST(AllocationFree, FilmModelAllocatesPerSolveNotPerStation) {

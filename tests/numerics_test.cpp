@@ -984,4 +984,189 @@ TEST(BlockArnoldi, StopsAtTheBasisCap) {
   EXPECT_EQ(basis.size(), 2);
 }
 
+
+// ------------------------------------------------ BiCGSTAB fused reductions
+// solve_bicgstab computes ||s||^2 in the s-update loop, t't and t's in one
+// pass, and ||r||^2 with the next r0'r in the x/r update. Each sum keeps
+// its i = 0..n-1 order, so x, the iteration count and the residual must be
+// bitwise those of the loop with every reduction in its own pass.
+
+struct UnfusedReport {
+  bool converged = false;
+  int iterations = 0;
+  double residual_norm = 0.0;
+  bool exited_on_s = false;  ///< converged on the ||s|| check
+};
+
+double unfused_dot(const std::vector<double>& a, const std::vector<double>& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    s += a[i] * b[i];
+  }
+  return s;
+}
+
+void apply_or_copy(const nm::Preconditioner* m, const std::vector<double>& in,
+                   std::vector<double>& out) {
+  if (m != nullptr) {
+    m->apply(in, out);
+  } else {
+    out = in;
+  }
+}
+
+/// The BiCGSTAB recurrence with every reduction in a pass of its own.
+UnfusedReport unfused_bicgstab(const nm::CsrMatrix& a, const std::vector<double>& b,
+                               std::vector<double>& x, const nm::Preconditioner* m,
+                               const nm::SolverOptions& options) {
+  const std::size_t n = b.size();
+  std::vector<double> r(n), p(n), v(n), s(n), t(n), phat(n), shat(n);
+  a.multiply(x, r);
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = b[i] - r[i];
+  }
+  const std::vector<double> r0 = r;
+  const double target = std::max(options.relative_tolerance * std::sqrt(unfused_dot(b, b)),
+                                 options.absolute_tolerance);
+  UnfusedReport report;
+  report.residual_norm = std::sqrt(unfused_dot(r, r));
+  if (report.residual_norm <= target) {
+    report.converged = true;
+    return report;
+  }
+  double rho = 1.0, alpha = 1.0, omega = 1.0;
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    const double rho_next = unfused_dot(r0, r);
+    if (rho_next == 0.0) {
+      break;
+    }
+    if (it == 1) {
+      p = r;
+    } else {
+      const double beta = (rho_next / rho) * (alpha / omega);
+      for (std::size_t i = 0; i < n; ++i) {
+        p[i] = r[i] + beta * (p[i] - omega * v[i]);
+      }
+    }
+    rho = rho_next;
+    apply_or_copy(m, p, phat);
+    a.multiply(phat, v);
+    const double r0_v = unfused_dot(r0, v);
+    if (r0_v == 0.0) {
+      break;
+    }
+    alpha = rho / r0_v;
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = r[i] - alpha * v[i];
+    }
+    report.iterations = it;
+    if (std::sqrt(unfused_dot(s, s)) <= target) {
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] += alpha * phat[i];
+      }
+      report.residual_norm = std::sqrt(unfused_dot(s, s));
+      report.converged = true;
+      report.exited_on_s = true;
+      return report;
+    }
+    apply_or_copy(m, s, shat);
+    a.multiply(shat, t);
+    const double t_t = unfused_dot(t, t);
+    if (t_t == 0.0) {
+      break;
+    }
+    omega = unfused_dot(t, s) / t_t;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += alpha * phat[i] + omega * shat[i];
+      r[i] = s[i] - omega * t[i];
+    }
+    report.residual_norm = std::sqrt(unfused_dot(r, r));
+    if (report.residual_norm <= target) {
+      report.converged = true;
+      return report;
+    }
+    if (omega == 0.0) {
+      break;
+    }
+  }
+  return report;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+/// Solves with solve_bicgstab and the unfused reference from the same
+/// guess; returns the reference's report after checking bitwise equality.
+UnfusedReport expect_fused_matches_unfused(const nm::CsrMatrix& a, const std::vector<double>& b,
+                                           const std::vector<double>& guess,
+                                           const nm::Preconditioner* m,
+                                           const nm::SolverOptions& options = {}) {
+  std::vector<double> x_fused = guess;
+  std::vector<double> x_unfused = guess;
+  const nm::SolverReport fused = nm::solve_bicgstab(a, b, x_fused, m, options);
+  const UnfusedReport unfused = unfused_bicgstab(a, b, x_unfused, m, options);
+  EXPECT_EQ(fused.converged, unfused.converged);
+  EXPECT_EQ(fused.iterations, unfused.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.residual_norm),
+            std::bit_cast<std::uint64_t>(unfused.residual_norm));
+  EXPECT_EQ(bits_of(x_fused), bits_of(x_unfused));
+  return unfused;
+}
+
+TEST(BicgstabFusion, MatchesTheUnfusedLoopWithIlu0) {
+  const auto a = random_nonsym(150, 0.05);
+  const std::vector<double> b = random_vector(150);
+  const nm::Ilu0Preconditioner ilu(a);
+  const UnfusedReport report =
+      expect_fused_matches_unfused(a, b, std::vector<double>(150, 0.0), &ilu);
+  EXPECT_TRUE(report.converged);
+  EXPECT_GT(report.iterations, 2);
+}
+
+TEST(BicgstabFusion, MatchesTheUnfusedLoopUnpreconditionedFromAGuess) {
+  const auto a = random_nonsym(90);
+  const std::vector<double> b = random_vector(90);
+  const UnfusedReport report = expect_fused_matches_unfused(a, b, random_vector(90), nullptr);
+  EXPECT_TRUE(report.converged);
+}
+
+TEST(BicgstabFusion, MatchesTheUnfusedLoopOnTheIterationCap) {
+  const auto a = random_nonsym(120);
+  const std::vector<double> b = random_vector(120);
+  nm::SolverOptions options;
+  options.max_iterations = 3;
+  options.relative_tolerance = 0.0;
+  options.absolute_tolerance = 0.0;
+  const UnfusedReport report =
+      expect_fused_matches_unfused(a, b, std::vector<double>(120, 0.0), nullptr, options);
+  EXPECT_FALSE(report.converged);
+  EXPECT_EQ(report.iterations, 3);
+}
+
+TEST(BicgstabFusion, MatchesTheUnfusedLoopOnTheSNormExit) {
+  // ILU(0) is exact on a lower-triangular pattern, so the first half-step
+  // solves the system and the ||s|| check ends the solve.
+  nm::TripletList t;
+  for (int i = 0; i < 40; ++i) {
+    t.add(i, i, 3.0 + 0.1 * i);
+    if (i > 0) {
+      t.add(i, i - 1, -1.0);
+    }
+    if (i > 4) {
+      t.add(i, i - 5, 0.5);
+    }
+  }
+  const auto a = nm::CsrMatrix::from_triplets(40, 40, t);
+  const nm::Ilu0Preconditioner ilu(a);
+  const UnfusedReport report =
+      expect_fused_matches_unfused(a, random_vector(40), std::vector<double>(40, 0.0), &ilu);
+  EXPECT_TRUE(report.exited_on_s);
+  EXPECT_EQ(report.iterations, 1);
+}
+
 }  // namespace

@@ -1,8 +1,11 @@
 // Cross-module property suites: physical invariants checked over swept
 // parameter grids (TEST_P), complementing the per-module unit tests.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -406,6 +409,205 @@ TEST(SparseReuse, MismatchedPatternsAreRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseReuseSweep, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------------------------- ILU(0) line-scheduled sweeps
+// Ilu0Preconditioner::apply() runs its triangular sweeps line group by
+// line group; it must give bitwise the z of plain row-by-row sweeps, on
+// line-structured patterns (thermal stacks, 2-D meshes) and on patterns
+// without lines (random, diagonal).
+
+/// Textbook ILU(0): the IKJ factorization, then the forward and backward
+/// sweeps one row after another. The bitwise reference for apply().
+std::vector<double> row_by_row_ilu0_solve(const nu::CsrMatrix& a, std::span<const double> r) {
+  const std::vector<int>& offsets = a.row_offsets();
+  const std::vector<int>& columns = a.column_indices();
+  std::vector<double> lu = a.values();
+  const int n = a.rows();
+  std::vector<int> diagonal(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    for (int k = offsets[static_cast<std::size_t>(i)]; k < offsets[static_cast<std::size_t>(i) + 1];
+         ++k) {
+      if (columns[static_cast<std::size_t>(k)] == i) {
+        diagonal[static_cast<std::size_t>(i)] = k;
+      }
+    }
+  }
+  std::vector<int> position(static_cast<std::size_t>(n), -1);
+  for (int i = 0; i < n; ++i) {
+    const auto begin = static_cast<std::size_t>(offsets[static_cast<std::size_t>(i)]);
+    const auto end = static_cast<std::size_t>(offsets[static_cast<std::size_t>(i) + 1]);
+    for (std::size_t k = begin; k < end; ++k) {
+      position[static_cast<std::size_t>(columns[k])] = static_cast<int>(k);
+    }
+    for (std::size_t k = begin; k < end && columns[k] < i; ++k) {
+      const auto pivot_row = static_cast<std::size_t>(columns[k]);
+      const double factor = lu[k] / lu[static_cast<std::size_t>(diagonal[pivot_row])];
+      lu[k] = factor;
+      for (int kk = diagonal[pivot_row] + 1; kk < offsets[pivot_row + 1]; ++kk) {
+        const int pos = position[static_cast<std::size_t>(columns[static_cast<std::size_t>(kk)])];
+        if (pos >= 0) {
+          lu[static_cast<std::size_t>(pos)] -= factor * lu[static_cast<std::size_t>(kk)];
+        }
+      }
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+      position[static_cast<std::size_t>(columns[k])] = -1;
+    }
+  }
+
+  std::vector<double> z(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    double sum = r[static_cast<std::size_t>(i)];
+    for (int k = offsets[static_cast<std::size_t>(i)]; k < diagonal[static_cast<std::size_t>(i)];
+         ++k) {
+      sum -= lu[static_cast<std::size_t>(k)] *
+             z[static_cast<std::size_t>(columns[static_cast<std::size_t>(k)])];
+    }
+    z[static_cast<std::size_t>(i)] = sum;
+  }
+  for (int i = n - 1; i >= 0; --i) {
+    double sum = z[static_cast<std::size_t>(i)];
+    for (int k = diagonal[static_cast<std::size_t>(i)] + 1;
+         k < offsets[static_cast<std::size_t>(i) + 1]; ++k) {
+      sum -= lu[static_cast<std::size_t>(k)] *
+             z[static_cast<std::size_t>(columns[static_cast<std::size_t>(k)])];
+    }
+    z[static_cast<std::size_t>(i)] =
+        sum / lu[static_cast<std::size_t>(diagonal[static_cast<std::size_t>(i)])];
+  }
+  return z;
+}
+
+/// Seeded diagonally dominant values on `pattern`'s sparsity pattern.
+nu::CsrMatrix seeded_values(const nu::CsrMatrix& pattern, std::uint64_t seed) {
+  Lcg rng(seed);
+  nu::TripletList triplets;
+  for (int i = 0; i < pattern.rows(); ++i) {
+    double off_sum = 0.0;
+    for (int k = pattern.row_offsets()[static_cast<std::size_t>(i)];
+         k < pattern.row_offsets()[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = pattern.column_indices()[static_cast<std::size_t>(k)];
+      if (j != i) {
+        const double value = rng.uniform(-1.0, -0.05);
+        triplets.add(i, j, value);
+        off_sum -= value;
+      }
+    }
+    triplets.add(i, i, off_sum + rng.uniform(0.01, 1.0));
+  }
+  return nu::CsrMatrix::from_triplets(pattern.rows(), pattern.cols(), triplets);
+}
+
+/// Asserts that apply() is bitwise the row-by-row reference on `a` for a
+/// seeded right-hand side.
+void expect_scheduled_apply_matches_row_by_row(const nu::CsrMatrix& a, std::uint64_t seed) {
+  Lcg rng(seed);
+  std::vector<double> rhs(static_cast<std::size_t>(a.rows()));
+  for (double& value : rhs) {
+    value = rng.uniform(-10.0, 10.0);
+  }
+  const nu::Ilu0Preconditioner ilu(a);
+  std::vector<double> z(rhs.size());
+  ilu.apply(rhs, z);
+  const std::vector<double> reference = row_by_row_ilu0_solve(a, rhs);
+  ASSERT_EQ(z.size(), reference.size());
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(z[i]), std::bit_cast<std::uint64_t>(reference[i]))
+        << "row " << i << " of " << z.size();
+  }
+}
+
+TEST_P(SparseReuseSweep, ScheduledIluApplyMatchesRowByRowSweepsOnRandomPatterns) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) + 2000);
+  const int n = 10 + 5 * GetParam();
+  const nu::CsrMatrix a = nu::CsrMatrix::from_triplets(n, n, random_pattern(rng, n));
+  expect_scheduled_apply_matches_row_by_row(a, static_cast<std::uint64_t>(GetParam()));
+}
+
+struct ThermalPatternCase {
+  const char* name;
+  int dies;
+  int axial_cells;
+};
+
+class ThermalPatternIluSchedule : public ::testing::TestWithParam<ThermalPatternCase> {};
+
+TEST_P(ThermalPatternIluSchedule, ScheduledApplyMatchesRowByRowSweeps) {
+  const ThermalPatternCase& c = GetParam();
+  th::ThermalModel::GridSettings grid;
+  grid.axial_cells = c.axial_cells;
+  const th::StackSpec stack = c.dies == 1   ? th::power7_microchannel_stack()
+                              : c.dies == 2 ? th::two_die_stack()
+                                            : th::multi_die_stack(c.dies);
+  const th::ThermalModel model(stack, ch::kPower7DieWidthM, ch::kPower7DieHeightM, grid);
+  expect_scheduled_apply_matches_row_by_row(seeded_values(model.operator_pattern(), 11), 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, ThermalPatternIluSchedule,
+                         ::testing::Values(ThermalPatternCase{"one_die_8", 1, 8},
+                                           ThermalPatternCase{"one_die_16", 1, 16},
+                                           ThermalPatternCase{"two_die", 2, 8},
+                                           ThermalPatternCase{"three_die", 3, 8}),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST(IluSchedule, TwoDimensionalMeshHasOneLinePerLevel) {
+  // 5-point mesh, x fastest: each x-row is a line that reads the row
+  // below, so every level holds exactly one line.
+  constexpr int nx = 13, ny = 9;
+  nu::TripletList triplets;
+  for (int iy = 0; iy < ny; ++iy) {
+    for (int ix = 0; ix < nx; ++ix) {
+      const int i = iy * nx + ix;
+      auto couple = [&](bool present, int j) {
+        if (present) {
+          triplets.add(i, j, 1.0);
+        }
+      };
+      triplets.add(i, i, 1.0);
+      couple(iy > 0, i - nx);
+      couple(ix > 0, i - 1);
+      couple(ix + 1 < nx, i + 1);
+      couple(iy + 1 < ny, i + nx);
+    }
+  }
+  const nu::CsrMatrix pattern = nu::CsrMatrix::from_triplets(nx * ny, nx * ny, triplets);
+  expect_scheduled_apply_matches_row_by_row(seeded_values(pattern, 3), 4);
+}
+
+TEST(IluSchedule, LinesThatReadAheadOfTheirStepWaitForTheirLevel) {
+  // Three equal-length lines, each reading a row of its neighbor line at a
+  // different offset than its own step: line k+1's first row reads line
+  // k's third row (through L), and line k's last row reads line k+1's
+  // second row (through U). Advancing such lines together, step by step,
+  // would read rows that are not final yet.
+  constexpr int length = 4, lines = 3, n = length * lines;
+  nu::TripletList triplets;
+  for (int i = 0; i < n; ++i) {
+    triplets.add(i, i, 1.0);
+    if (i % length > 0) {
+      triplets.add(i, i - 1, 1.0);
+    }
+    if (i % length + 1 < length) {
+      triplets.add(i, i + 1, 1.0);
+    }
+  }
+  for (int line = 0; line + 1 < lines; ++line) {
+    triplets.add((line + 1) * length, line * length + 2, 1.0);
+    triplets.add(line * length + length - 1, (line + 1) * length + 1, 1.0);
+  }
+  const nu::CsrMatrix pattern = nu::CsrMatrix::from_triplets(n, n, triplets);
+  expect_scheduled_apply_matches_row_by_row(seeded_values(pattern, 6), 7);
+}
+
+TEST(IluSchedule, DiagonalMatrixMakesEveryRowALine) {
+  constexpr int n = 23;  // not a multiple of four: the last group is short
+  nu::TripletList triplets;
+  for (int i = 0; i < n; ++i) {
+    triplets.add(i, i, 1.0);
+  }
+  const nu::CsrMatrix pattern = nu::CsrMatrix::from_triplets(n, n, triplets);
+  expect_scheduled_apply_matches_row_by_row(seeded_values(pattern, 8), 9);
+}
 
 // ------------------------------------------- multi-die stack energy balance
 // For any valid N-layer stack (1-3 dies, interlayer or top-only cooling,

@@ -449,21 +449,52 @@ TEST(SolveContext, ResetRestoresColdStartExactly) {
 }
 
 TEST(SolveContext, TransientStepsMatchTheOneShotPath) {
+  // The operator depends only on (op, dt): ten steps at one operating
+  // point reuse the first step's factorization, and each field is bitwise
+  // the one a fresh context (which factors anew) computes.
+  for (const th::SolverKind kind : {th::SolverKind::kIlu0, th::SolverKind::kMultigrid}) {
+    auto grid = coarse_grid();
+    grid.solver_config.kind = kind;
+    const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
+                                 ch::kPower7DieHeightM, grid);
+    const auto fp = ch::make_power7_floorplan();
+    const auto op = nominal_op();
+
+    auto state_one_shot = model.uniform_state(kInlet);
+    auto state_context = model.uniform_state(kInlet);
+    th::ThermalSolveContext context(model);
+    for (int step = 0; step < 10; ++step) {
+      const auto a = step_once(model, state_one_shot, fp, op, 0.05);
+      const auto b = context_step(context, state_context, fp, op, 0.05);
+      state_one_shot = a.temperature_k;
+      state_context = b.temperature_k;
+      ASSERT_EQ(state_context.data(), state_one_shot.data())
+          << th::solver_kind_name(kind) << " step " << step;
+    }
+    EXPECT_EQ(context.stats().solves, 10);
+    EXPECT_EQ(context.stats().factorizations, 1) << th::solver_kind_name(kind);
+  }
+}
+
+TEST(SolveContext, ChangedOperatorRefactors) {
   const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
                                ch::kPower7DieHeightM, coarse_grid());
   const auto fp = ch::make_power7_floorplan();
-  const auto op = nominal_op();
-
-  auto state_one_shot = model.uniform_state(kInlet);
-  auto state_context = model.uniform_state(kInlet);
+  auto op = nominal_op();
   th::ThermalSolveContext context(model);
-  for (int step = 0; step < 5; ++step) {
-    const auto a = step_once(model, state_one_shot, fp, op, 0.05);
-    const auto b = context_step(context, state_context, fp, op, 0.05);
-    state_one_shot = a.temperature_k;
-    state_context = b.temperature_k;
-    ASSERT_EQ(state_context.data(), state_one_shot.data()) << "step " << step;
-  }
+  auto state = model.uniform_state(kInlet);
+  state = context_step(context, state, fp, op, 0.05).temperature_k;
+  state = context_step(context, state, fp, op, 0.05).temperature_k;
+  EXPECT_EQ(context.stats().factorizations, 1);
+  op.inlet_temperature_k += 5.0;  // a new operating point
+  state = context_step(context, state, fp, op, 0.05).temperature_k;
+  EXPECT_EQ(context.stats().factorizations, 2);
+  state = context_step(context, state, fp, op, 0.1).temperature_k;  // a new dt
+  EXPECT_EQ(context.stats().factorizations, 3);
+  (void)context.solve_steady(fp, op);  // no mass term
+  (void)context.solve_steady(fp, op);
+  EXPECT_EQ(context.stats().factorizations, 4);
+  EXPECT_EQ(context.stats().solves, 6);
 }
 
 TEST(SolveContext, MixedSteadyAndTransientSolvesShareOneContext) {
