@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -262,10 +263,18 @@ thermal::CoolantProperties RackSpec::coolant_reference() const {
 RackSolveResult solve_rack_steady(const RackSpec& rack) {
   rack.validate();
   const std::vector<ChipEngine> engines = build_engines(rack);
+  // Chips that share a model share one solve context, reset before each
+  // chip so that every solve starts cold: bitwise the one-shot
+  // ThermalModel::solve_steady, without a context build per chip.
+  std::map<const thermal::ThermalModel*, thermal::ThermalSolveContext> contexts;
   return walk_rack(rack, engines,
                    [&](std::size_t index, const thermal::OperatingPoint& op) {
+                     const thermal::ThermalModel& model = *engines[index].model;
+                     thermal::ThermalSolveContext& context =
+                         contexts.try_emplace(&model, model).first->second;
+                     context.reset();
                      const thermal::ThermalSolution sol =
-                         engines[index].model->solve_steady(engines[index].pointers, op);
+                         context.solve_steady(engines[index].pointers, op);
                      return std::pair{sol.fluid_heat_absorbed_w, sol.peak_temperature_k};
                    });
 }

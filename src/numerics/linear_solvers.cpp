@@ -144,11 +144,8 @@ void Ilu0Preconditioner::build_schedule() {
   }
 
   // Groups: lines of one level in ascending (length, first row) order, up
-  // to kMaxGroupLines of equal length per group. Then one-line groups that
-  // continue each other in sweep order merge, which keeps their row order
-  // (a 2-D mesh becomes one row-by-row run).
-  auto group_lines = [&](const std::vector<int>& level, bool descending,
-                         std::vector<LineGroup>& groups) {
+  // to kMaxGroupLines of equal length per group.
+  auto group_lines = [&](const std::vector<int>& level, std::vector<LineGroup>& groups) {
     auto length_of = [&](int line) {
       return line_begin[static_cast<std::size_t>(line) + 1] -
              line_begin[static_cast<std::size_t>(line)];
@@ -175,25 +172,9 @@ void Ilu0Preconditioner::build_schedule() {
       group.first_row[static_cast<std::size_t>(group.lines++)] =
           line_begin[static_cast<std::size_t>(line)];
     }
-    std::size_t kept = 0;
-    for (const LineGroup& group : groups) {
-      if (kept > 0 && groups[kept - 1].lines == 1 && group.lines == 1) {
-        LineGroup& run = groups[kept - 1];
-        const int below = descending ? group.first_row[0] : run.first_row[0];
-        const int above = descending ? run.first_row[0] : group.first_row[0];
-        const int below_length = descending ? group.length : run.length;
-        if (below + below_length == above) {
-          run.first_row[0] = below;
-          run.length += group.length;
-          continue;
-        }
-      }
-      groups[kept++] = group;
-    }
-    groups.resize(kept);
   };
-  group_lines(forward_level, false, forward_groups_);
-  group_lines(backward_level, true, backward_groups_);
+  group_lines(forward_level, forward_groups_);
+  group_lines(backward_level, backward_groups_);
 }
 
 void Ilu0Preconditioner::refactor(const CsrMatrix& a) {

@@ -71,8 +71,7 @@ class Preconditioner {
 /// dependency chains. Every row keeps its subtractions in column order and
 /// reads only rows that are already final, so z is bitwise what plain
 /// row-by-row sweeps give. A pattern without line structure (a 2-D mesh)
-/// gets one line per level, and such one-line groups that continue each
-/// other merge into one run: the row-by-row sweep.
+/// gets one line per level, which is the row-by-row sweep.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
   /// Throws std::runtime_error when a zero pivot is encountered.

@@ -71,6 +71,9 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& a, int plane_c
 
 void MultigridPreconditioner::build_hierarchy(const CsrMatrix& a,
                                               std::vector<double> z_thicknesses) {
+  // The finest level's Galerkin product stamps four triplets per fine
+  // nonzero, the most of any level: size the buffer once, not by doubling.
+  galerkin_triplets_ = TripletList(4 * a.non_zeros());
   levels_.emplace_back();
   levels_.front().a = a;
   levels_.front().z = static_cast<int>(z_thicknesses.size());

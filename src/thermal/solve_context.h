@@ -1,8 +1,9 @@
 // Stateful solve context for the compact thermal model: separates the
 // one-time symbolic setup (sparsity pattern, scatter plans, ILU(0)
 // structure, Krylov workspace) from the per-solve numeric work (coefficient
-// fill, numeric refactorization, preconditioned BiCGSTAB), and warm-starts
-// each solve from the previous temperature field.
+// fill, preconditioned BiCGSTAB), and warm-starts each solve from the
+// previous temperature field. The numeric refactorization runs only when
+// (op, capacity_over_dt) differs from the last factorization's.
 //
 // Ownership and lifecycle rules (see docs/ARCHITECTURE.md):
 //  * The context borrows the ThermalModel, which must outlive it.
