@@ -1,7 +1,7 @@
 // Measurement harness shared by the JSON-writing bench programs
-// (fleet_throughput, mission_throughput, stack3d_throughput,
-// opt_throughput): the warm-up-then-repeat-until-stable loop, the optional
-// JSON-path argument and a flat JSON writer. The repository benchmark is
+// (fleet_throughput, mission_throughput, opt_throughput): the
+// warm-up-then-repeat-until-stable loop, the optional JSON-path argument
+// and a flat JSON writer. The repository benchmark is
 // perfbench/ (perfbench/README.md); these programs measure only the
 // comparisons it does not make. Schemas: docs/BENCHMARKS.md.
 #ifndef BRIGHTSI_BENCH_HARNESS_H

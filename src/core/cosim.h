@@ -84,7 +84,7 @@ struct CoSimReport {
   int thermal_solves = 0;
   long long thermal_iterations = 0;          ///< BiCGSTAB iterations, summed
   double thermal_assembly_time_s = 0.0;      ///< coefficient fill + CSR refill
-  double thermal_setup_time_s = 0.0;         ///< preconditioner factor/hierarchy refresh
+  double thermal_setup_time_s = 0.0;         ///< ILU(0) factorization
   double thermal_solve_time_s = 0.0;         ///< time iterating inside the Krylov solver
 };
 

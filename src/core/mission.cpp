@@ -183,7 +183,6 @@ MissionResult run_mission(const MissionConfig& config,
   engine_options.sample_stride = config.sample_stride;
   engine_options.initial_state = initial_thermal_state;
   engine_options.backend = config.transient_backend;
-  engine_options.rom = config.rom;
   for (const chip::Power7PowerSpec& upper : sys.upper_die_power) {
     engine_options.upper_die_floorplans.push_back(chip::make_power7_floorplan(upper));
   }

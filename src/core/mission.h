@@ -45,7 +45,6 @@ struct MissionConfig {
   /// Thermal stepping backend: the full-grid solve (default, bit-stable)
   /// or the certified reduced-order model (thermal/rom.h).
   thermal::TransientBackend transient_backend = thermal::TransientBackend::kFull;
-  thermal::RomOptions rom;  ///< used only when transient_backend == kRom
 
   void validate() const;
 };
@@ -68,7 +67,7 @@ struct MissionWork {
   long long steps = 0;
   long long thermal_iterations = 0;      ///< BiCGSTAB iterations, summed
   double thermal_assembly_time_s = 0.0;  ///< coefficient fill + CSR refill
-  double thermal_setup_time_s = 0.0;     ///< preconditioner factor/hierarchy refresh
+  double thermal_setup_time_s = 0.0;     ///< ILU(0) factorization
   double thermal_solve_time_s = 0.0;     ///< time iterating inside the Krylov solver
 
   // Reduced-order backend counters (all zero on the full backend) — the

@@ -272,7 +272,7 @@ void Ilu0Preconditioner::apply(std::span<const double> r, std::span<double> z) c
 namespace {
 
 SolverReport run_cg(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                    const Preconditioner* preconditioner, const SolverOptions& options,
+                    const Ilu0Preconditioner* preconditioner, const SolverOptions& options,
                     KrylovWorkspace& ws) {
   ensure(a.rows() == a.cols(), "solve_cg requires a square matrix");
   const auto n = static_cast<std::size_t>(a.rows());
@@ -336,7 +336,7 @@ SolverReport run_cg(const CsrMatrix& a, std::span<const double> b, std::span<dou
 }
 
 SolverReport run_bicgstab(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                          const Preconditioner* preconditioner, const SolverOptions& options,
+                          const Ilu0Preconditioner* preconditioner, const SolverOptions& options,
                           KrylovWorkspace& ws) {
   ensure(a.rows() == a.cols(), "solve_bicgstab requires a square matrix");
   const auto n = static_cast<std::size_t>(a.rows());
@@ -451,7 +451,7 @@ SolverReport run_bicgstab(const CsrMatrix& a, std::span<const double> b, std::sp
 }  // namespace
 
 SolverReport solve_cg(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                      const Preconditioner* preconditioner, const SolverOptions& options,
+                      const Ilu0Preconditioner* preconditioner, const SolverOptions& options,
                       KrylovWorkspace* workspace) {
   const auto start = std::chrono::steady_clock::now();
   KrylovWorkspace local;
@@ -462,7 +462,7 @@ SolverReport solve_cg(const CsrMatrix& a, std::span<const double> b, std::span<d
 }
 
 SolverReport solve_bicgstab(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                            const Preconditioner* preconditioner, const SolverOptions& options,
+                            const Ilu0Preconditioner* preconditioner, const SolverOptions& options,
                             KrylovWorkspace* workspace) {
   const auto start = std::chrono::steady_clock::now();
   KrylovWorkspace local;

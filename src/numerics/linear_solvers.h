@@ -4,13 +4,12 @@
 //  * solve_cg        — conjugate gradients, for symmetric positive definite A
 //  * solve_bicgstab  — BiCGSTAB, for general nonsymmetric A
 //
-// Both accept an optional preconditioner (ILU(0) or multigrid); both return the
-// iteration count and final residual so callers can assert convergence.
+// Both accept an optional ILU(0) preconditioner; both return the iteration
+// count and final residual so callers can assert convergence.
 #ifndef BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
 #define BRIGHTSI_NUMERICS_LINEAR_SOLVERS_H
 
 #include <array>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,10 +33,9 @@ struct SolverReport {
   int iterations = 0;
   double residual_norm = 0.0;
   double solve_time_s = 0.0;  ///< wall time iterating inside the solver
-  /// Wall time preparing the preconditioner for this solve (ILU
-  /// factorization or multigrid hierarchy refresh). Filled by callers that
-  /// own the preconditioner lifecycle (the solve contexts); the solvers
-  /// themselves leave it zero.
+  /// Wall time preparing the preconditioner for this solve (the ILU(0)
+  /// factorization). Filled by callers that own the preconditioner
+  /// lifecycle (the solve contexts); the solvers themselves leave it zero.
   double setup_time_s = 0.0;
 };
 
@@ -48,13 +46,6 @@ struct SolverReport {
 struct KrylovWorkspace {
   std::vector<double> r, r0, p, v, s, t, phat, shat;
   void resize(std::size_t n);
-};
-
-/// Interface for left preconditioners: z = M^{-1} r.
-class Preconditioner {
- public:
-  virtual ~Preconditioner() = default;
-  virtual void apply(std::span<const double> r, std::span<double> z) const = 0;
 };
 
 /// Incomplete LU factorization with zero fill-in on the sparsity pattern of A.
@@ -72,11 +63,12 @@ class Preconditioner {
 /// reads only rows that are already final, so z is bitwise what plain
 /// row-by-row sweeps give. A pattern without line structure (a 2-D mesh)
 /// gets one line per level, which is the row-by-row sweep.
-class Ilu0Preconditioner final : public Preconditioner {
+class Ilu0Preconditioner {
  public:
   /// Throws std::runtime_error when a zero pivot is encountered.
   explicit Ilu0Preconditioner(const CsrMatrix& a);
-  void apply(std::span<const double> r, std::span<double> z) const override;
+  /// Left preconditioning: z = M^{-1} r.
+  void apply(std::span<const double> r, std::span<double> z) const;
 
   /// Redoes the numeric factorization for new coefficients of `a`, which
   /// must have the same sparsity pattern as the matrix this preconditioner
@@ -113,14 +105,14 @@ class Ilu0Preconditioner final : public Preconditioner {
 /// the solution out. `workspace` (optional) supplies the scratch vectors;
 /// when null a local workspace is allocated for the call.
 SolverReport solve_cg(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                      const Preconditioner* preconditioner = nullptr,
+                      const Ilu0Preconditioner* preconditioner = nullptr,
                       const SolverOptions& options = {},
                       KrylovWorkspace* workspace = nullptr);
 
 /// BiCGSTAB for general square systems. `x` carries the initial guess in and
 /// the solution out. `workspace` as in solve_cg.
 SolverReport solve_bicgstab(const CsrMatrix& a, std::span<const double> b, std::span<double> x,
-                            const Preconditioner* preconditioner = nullptr,
+                            const Ilu0Preconditioner* preconditioner = nullptr,
                             const SolverOptions& options = {},
                             KrylovWorkspace* workspace = nullptr);
 

@@ -115,15 +115,6 @@ void CsrMatrix::refill_from_triplets(const TripletList& triplets,
   }
 }
 
-void CsrMatrix::copy_values_from(const CsrMatrix& other) {
-  if (other.rows_ != rows_ || other.cols_ != cols_ || other.row_offsets_ != row_offsets_ ||
-      other.column_indices_ != column_indices_) {
-    throw std::invalid_argument(
-        "CsrMatrix::copy_values_from: source pattern differs from this matrix's");
-  }
-  values_ = other.values_;
-}
-
 void CsrMatrix::multiply(std::span<const double> x, std::span<double> y) const {
   ensure(static_cast<int>(x.size()) == cols_, "CsrMatrix::multiply: x size mismatch");
   ensure(static_cast<int>(y.size()) == rows_, "CsrMatrix::multiply: y size mismatch");

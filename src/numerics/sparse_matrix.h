@@ -70,13 +70,6 @@ class CsrMatrix {
   void refill_from_triplets(const TripletList& triplets,
                             std::vector<int>* slot_cache = nullptr);
 
-  /// Copies the coefficient values of `other`, which must have this
-  /// matrix's exact sparsity pattern (checked). The in-place update path
-  /// for consumers that mirror a matrix whose pattern is fixed across
-  /// solves (e.g. the finest level of a multigrid hierarchy). Throws
-  /// std::invalid_argument on a pattern mismatch.
-  void copy_values_from(const CsrMatrix& other);
-
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] std::size_t non_zeros() const { return values_.size(); }
@@ -98,12 +91,6 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<int>& row_offsets() const { return row_offsets_; }
   [[nodiscard]] const std::vector<int>& column_indices() const { return column_indices_; }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
-
-  /// Mutable coefficient storage, for assemblers that refresh values in
-  /// place through a precomputed slot mapping (the multigrid Galerkin
-  /// refresh bypasses the triplet path this way). The structure arrays
-  /// stay private: the pattern cannot be modified.
-  [[nodiscard]] std::vector<double>& mutable_values() { return values_; }
 
  private:
   int rows_ = 0;

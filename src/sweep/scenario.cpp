@@ -208,13 +208,6 @@ const std::vector<ParameterInfo>& parameter_registry() {
        "cooling-layer etch depth, every stack layer + the flow-cell channels (um)",
        [](core::SystemConfig& c, double v) { set_channel_heights(c, v * 1e-6); },
        /*thermal_structural=*/true},
-      {"solver", "thermal preconditioner: 0 = ILU(0)+BiCGSTAB, 1 = geometric multigrid",
-       [](core::SystemConfig& c, double v) {
-         c.thermal_grid.solver_config.kind = flag_param("solver", v)
-                                                 ? thermal::SolverKind::kMultigrid
-                                                 : thermal::SolverKind::kIlu0;
-       },
-       /*thermal_structural=*/true},
       {"pump_efficiency", "hydraulic pump efficiency (0, 1]",
        [](core::SystemConfig& c, double v) { c.pump_efficiency = v; }},
       {"power_scale", "multiplier on every die's power densities (workload knob)",

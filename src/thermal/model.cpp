@@ -11,10 +11,6 @@
 
 namespace brightsi::thermal {
 
-const char* solver_kind_name(SolverKind kind) {
-  return kind == SolverKind::kMultigrid ? "mg" : "ilu0";
-}
-
 void OperatingPoint::validate(bool has_channels) const {
   if (has_channels) {
     ensure_positive(total_flow_m3_per_s, "coolant flow");
@@ -143,15 +139,6 @@ void ThermalModel::build_grid() {
 
 int ThermalModel::channel_count() const {
   return channel_specs_.empty() ? 0 : channel_specs_.front().channel_count;
-}
-
-std::vector<double> ThermalModel::z_cell_thicknesses() const {
-  std::vector<double> dz;
-  dz.reserve(z_slices_.size());
-  for (const ZSlice& slice : z_slices_) {
-    dz.push_back(slice.dz);
-  }
-  return dz;
 }
 
 double ThermalModel::film_coefficient(const OperatingPoint& op, int channel_layer) const {

@@ -36,7 +36,6 @@
 #include "chip/floorplan.h"
 #include "numerics/grid.h"
 #include "numerics/linear_solvers.h"
-#include "numerics/multigrid.h"
 #include "thermal/stack.h"
 
 namespace brightsi::thermal {
@@ -133,31 +132,11 @@ struct ThermalSolution {
   }
 };
 
-/// Which preconditioner backs the BiCGSTAB solve (docs/SOLVERS.md).
-enum class SolverKind {
-  kIlu0,       ///< ILU(0)-preconditioned BiCGSTAB — the default, bit-stable path
-  kMultigrid,  ///< z-semicoarsening geometric multigrid V-cycle preconditioner
-};
-
-/// Name of a solver kind ("ilu0" / "mg"), for CLIs and bench JSON.
-[[nodiscard]] const char* solver_kind_name(SolverKind kind);
-
-/// Preconditioner selection, threaded from SystemConfig.thermal_grid down to
-/// every ThermalSolveContext (and hence transient engines, sweeps and CLIs).
-/// The default reproduces the seed's ILU(0) path bit-for-bit.
-struct SolverConfig {
-  SolverKind kind = SolverKind::kIlu0;
-  numerics::MultigridOptions multigrid;  ///< used only when kind == kMultigrid
-
-  friend bool operator==(const SolverConfig&, const SolverConfig&) = default;
-};
-
 /// Discretization and solver controls of a ThermalModel.
 struct ThermalGridSettings {
   int axial_cells = 32;          ///< y-cells along the flow direction
   int solid_stack_x_cells = 64;  ///< x-columns when the stack has no channels
   numerics::SolverOptions solver;
-  SolverConfig solver_config;    ///< preconditioner choice (default: ILU(0))
 
   friend bool operator==(const ThermalGridSettings&, const ThermalGridSettings&) = default;
 };
@@ -204,10 +183,6 @@ class ThermalModel {
   [[nodiscard]] double die_width_m() const { return die_width_m_; }
   [[nodiscard]] double die_height_m() const { return die_height_m_; }
   [[nodiscard]] const std::vector<double>& x_edges() const { return x_edges_; }
-
-  /// Physical thickness of each z-cell, bottom to top (nz entries) — the
-  /// layer structure the multigrid preconditioner semicoarsens along.
-  [[nodiscard]] std::vector<double> z_cell_thicknesses() const;
 
   /// Per-channel-layer share of the pump's total flow, bottom to top:
   /// equal-pressure-drop split over the layers' laminar conductances. A

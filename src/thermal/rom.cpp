@@ -20,6 +20,21 @@ namespace {
 /// residual closers; each distinct length gets its own basis).
 constexpr double kDtMatchRel = 1e-9;
 
+/// Basis size cap per step length. Past it enrichment stops growing the
+/// basis and persistent fallbacks show up in the stats instead.
+constexpr int kMaxBasis = 48;
+
+/// Shift-invert moments A^{-1}(C/dt ·) appended per enrichment snapshot.
+constexpr int kEnrichmentMoments = 1;
+
+/// Orthogonalization drop tolerance (relative): candidates this close to
+/// the current span are rejected (numerics/model_reduction.h).
+constexpr double kDropTolerance = 1e-10;
+
+/// Added to every certified bound to absorb the floating-point roundoff of
+/// the residual evaluation itself (kelvin).
+constexpr double kRoundoffFloorK = 1e-9;
+
 double seconds_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -33,14 +48,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 }  // namespace
-
-void RomOptions::validate() const {
-  ensure_positive(tolerance_k, "rom tolerance");
-  ensure(max_basis >= 4, "rom basis cap must be >= 4");
-  ensure(enrichment_moments >= 0, "rom enrichment moments must be >= 0");
-  ensure(drop_tolerance > 0.0, "rom drop tolerance must be positive");
-  ensure(roundoff_floor_k >= 0.0, "rom roundoff floor must be >= 0");
-}
 
 /// Everything specific to one step length: the assembled operator, its
 /// dominance margin, the shift-invert machinery, the basis and the dense
@@ -70,10 +77,8 @@ struct ReducedThermalModel::DtModel {
 };
 
 ReducedThermalModel::ReducedThermalModel(const ThermalModel& model,
-                                         const OperatingPoint& operating_point,
-                                         RomOptions options)
-    : model_(&model), operating_point_(operating_point), options_(options) {
-  options_.validate();
+                                         const OperatingPoint& operating_point)
+    : model_(&model), operating_point_(operating_point) {
   operating_point_.validate(model.stack().has_channels());
   layer_flows_ = model.layer_flow_split(operating_point_);
 
@@ -292,7 +297,7 @@ double ReducedThermalModel::certified_bound_k(const DtModel& dt_model,
   for (const double r : residual_) {
     linf = std::max(linf, std::abs(r));
   }
-  return linf / dt_model.margin + options_.roundoff_floor_k;
+  return linf / dt_model.margin + kRoundoffFloorK;
 }
 
 std::optional<ThermalSolution> ReducedThermalModel::try_step(
@@ -349,7 +354,7 @@ std::optional<ThermalSolution> ReducedThermalModel::try_step(
   dt_model->basis.lift(coefficients_, lifted_);
 
   const double bound_k = certified_bound_k(*dt_model, rhs_full_, lifted_);
-  if (bound_k > options_.tolerance_k) {
+  if (bound_k > kRomToleranceK) {
     stats_.max_rejected_bound_k = std::max(stats_.max_rejected_bound_k, bound_k);
     stats_.step_time_s += seconds_since(start);
     return std::nullopt;  // the engine falls back to the full solve
@@ -390,7 +395,7 @@ void ReducedThermalModel::enrich(double dt_s,
 
   std::vector<std::vector<double>> seeds;
   seeds.push_back(full_solution.temperature_k.data());
-  if (!dt_model.seeded_inputs && dt_model.basis.size() < options_.max_basis) {
+  if (!dt_model.seeded_inputs && dt_model.basis.size() < kMaxBasis) {
     std::vector<double> response;
     apply_shift_invert(dt_model, b_zero_, response);
     seeds.push_back(std::move(response));
@@ -407,7 +412,7 @@ void ReducedThermalModel::enrich(double dt_s,
       any_power = any_power || p[cell] != 0.0;
     }
   }
-  if (any_power && dt_model.basis.size() < options_.max_basis) {
+  if (any_power && dt_model.basis.size() < kMaxBasis) {
     std::vector<double> response;
     apply_shift_invert(dt_model, injection, response);
     seeds.push_back(std::move(response));
@@ -419,8 +424,7 @@ void ReducedThermalModel::enrich(double dt_s,
   const int previous_size = dt_model.basis.size();
   std::vector<double> weighted(rhs_full_.size(), 0.0);
   numerics::block_arnoldi_expand(
-      dt_model.basis, seeds, options_.enrichment_moments, options_.max_basis,
-      options_.drop_tolerance,
+      dt_model.basis, seeds, kEnrichmentMoments, kMaxBasis, kDropTolerance,
       [&](std::span<const double> in, std::span<double> out) {
         for (std::size_t i = 0; i < weighted.size(); ++i) {
           weighted[i] = dt_model.c_over_dt[i] * in[i];

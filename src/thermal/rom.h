@@ -18,8 +18,8 @@
 // where margin = min_i (a_ii - sum_{j != i} |a_ij|) > 0 is the Varah bound
 // on ||A^{-1}||_inf for strictly diagonally dominant A. The residual is
 // evaluated against the exactly assembled b, so the bound is rigorous up
-// to floating-point roundoff (covered by a configurable floor). When the
-// bound exceeds the tolerance, the caller (the transient engine) falls
+// to floating-point roundoff (covered by a fixed floor). When the bound
+// exceeds the tolerance (kRomToleranceK), the caller (the transient engine) falls
 // back to the full solve and hands the snapshot back via enrich(), which
 // grows the basis with the snapshot plus shift-invert moments
 // A^{-1} (C/dt ·) of it — the propagator that maps one step's state into
@@ -44,26 +44,11 @@
 
 namespace brightsi::thermal {
 
-/// Tuning knobs of the reduced-order backend. The defaults certify every
-/// accepted step to 0.5 K against the full backward-Euler solution.
-struct RomOptions {
-  /// Reject a reduced step whose certified bound exceeds this (kelvin);
-  /// the engine then falls back to the full solve and enriches the basis.
-  double tolerance_k = 0.5;
-  /// Basis size cap per step length. Past it enrichment stops growing the
-  /// basis and persistent fallbacks show up in the stats instead.
-  int max_basis = 48;
-  /// Shift-invert moments A^{-1}(C/dt ·) appended per enrichment snapshot.
-  int enrichment_moments = 1;
-  /// Orthogonalization drop tolerance (relative): candidates this close to
-  /// the current span are rejected (numerics/model_reduction.h).
-  double drop_tolerance = 1e-10;
-  /// Added to every certified bound to absorb the floating-point roundoff
-  /// of the residual evaluation itself (kelvin).
-  double roundoff_floor_k = 1e-9;
-
-  void validate() const;
-};
+/// Certificate threshold of the reduced-order backend (kelvin): a reduced
+/// step whose certified bound exceeds it is rejected, and the engine falls
+/// back to the full solve and enriches the basis. So every accepted step is
+/// within 0.5 K of the full backward-Euler solution.
+inline constexpr double kRomToleranceK = 0.5;
 
 /// Work counters and certificate trail of one ReducedThermalModel.
 struct RomStats {
@@ -87,8 +72,7 @@ struct RomStats {
 /// operators, bases and dense reduced systems.
 class ReducedThermalModel {
  public:
-  ReducedThermalModel(const ThermalModel& model, const OperatingPoint& operating_point,
-                      RomOptions options = RomOptions());
+  ReducedThermalModel(const ThermalModel& model, const OperatingPoint& operating_point);
   ~ReducedThermalModel();
 
   ReducedThermalModel(const ReducedThermalModel&) = delete;
@@ -96,7 +80,7 @@ class ReducedThermalModel {
 
   /// Attempts one backward-Euler step of length `dt_s` from `state` with
   /// the reduced system. Returns the packaged solution when the certified
-  /// bound stays within options().tolerance_k; std::nullopt when no basis
+  /// bound stays within kRomToleranceK; std::nullopt when no basis
   /// exists for this step length yet or the bound trips — the caller then
   /// runs the full solve and feeds it back through enrich().
   [[nodiscard]] std::optional<ThermalSolution> try_step(
@@ -113,7 +97,6 @@ class ReducedThermalModel {
               const numerics::Grid3<double>& previous_state);
 
   [[nodiscard]] const RomStats& stats() const { return stats_; }
-  [[nodiscard]] const RomOptions& options() const { return options_; }
   [[nodiscard]] const ThermalModel& model() const { return *model_; }
 
  private:
@@ -137,7 +120,6 @@ class ReducedThermalModel {
 
   const ThermalModel* model_;
   OperatingPoint operating_point_;
-  RomOptions options_;
   RomStats stats_;
 
   std::vector<double> layer_flows_;      // layer_flow_split(op), fixed per mission

@@ -88,34 +88,17 @@ ThermalSolution ThermalSolveContext::solve(std::span<const chip::Floorplan* cons
   // matrix is a function of (op, capacity_over_dt) alone, so a solve on
   // the pair of the last factorization keeps that factorization.
   const auto setup_start = std::chrono::steady_clock::now();
-  const bool multigrid = model_->settings().solver_config.kind == SolverKind::kMultigrid;
   if (!factored_ || op != factored_op_ || capacity_over_dt != factored_capacity_over_dt_) {
     factored_ = false;  // until the new factorization succeeds
-    if (multigrid) {
-      if (multigrid_ != nullptr) {
-        multigrid_->refactor(matrix_);
-      } else {
-        multigrid_ = std::make_unique<numerics::MultigridPreconditioner>(
-            matrix_, model_->nx() * model_->ny(), model_->z_cell_thicknesses(),
-            model_->settings().solver_config.multigrid);
-      }
+    if (ilu_ != nullptr) {
+      ilu_->refactor(matrix_);
     } else {
-      if (ilu_ != nullptr) {
-        ilu_->refactor(matrix_);
-      } else {
-        ilu_ = std::make_unique<numerics::Ilu0Preconditioner>(matrix_);
-      }
+      ilu_ = std::make_unique<numerics::Ilu0Preconditioner>(matrix_);
     }
     factored_ = true;
     factored_op_ = op;
     factored_capacity_over_dt_ = capacity_over_dt;
     stats_.factorizations += 1;
-  }
-  const numerics::Preconditioner* preconditioner = nullptr;
-  if (multigrid) {
-    preconditioner = multigrid_.get();
-  } else {
-    preconditioner = ilu_.get();
   }
   const double setup_time_s = seconds_since(setup_start);
   stats_.precond_setup_time_s += setup_time_s;
@@ -124,8 +107,7 @@ ThermalSolution ThermalSolveContext::solve(std::span<const chip::Floorplan* cons
     temperatures_.assign(rhs_.size(), op.inlet_temperature_k);
   }
   numerics::SolverReport report = numerics::solve_bicgstab(
-      matrix_, rhs_, temperatures_, preconditioner, model_->settings().solver,
-      &workspace_);
+      matrix_, rhs_, temperatures_, ilu_.get(), model_->settings().solver, &workspace_);
   report.setup_time_s = setup_time_s;
   stats_.solves += 1;
   stats_.iterations += report.iterations;

@@ -35,9 +35,9 @@ class ThermalSolveContext {
     int solves = 0;
     long long iterations = 0;      ///< BiCGSTAB iterations, summed
     double assembly_time_s = 0.0;  ///< coefficient fill + in-place CSR refill
-    /// Preconditioner setup: ILU(0) (re)factorization or multigrid
-    /// hierarchy build/refresh. Split from assembly so benches can separate
-    /// stamping cost from solver setup cost (docs/BENCHMARKS.md).
+    /// Preconditioner setup: the ILU(0) factorization or refactorization.
+    /// Split from assembly so benches can separate stamping cost from
+    /// solver setup cost (docs/BENCHMARKS.md).
     double precond_setup_time_s = 0.0;
     double solve_time_s = 0.0;     ///< time iterating inside the Krylov solver
     /// Preconditioner builds and refactorizations. A solve whose operating
@@ -93,10 +93,7 @@ class ThermalSolveContext {
   std::vector<double> rhs_;
   std::vector<int> steady_scatter_;    // triplet -> CSR slot plans per mode
   std::vector<int> transient_scatter_;
-  // Exactly one of these is live, per settings().solver_config.kind: the
-  // default ILU(0) factorization or the multigrid hierarchy (multigrid.h).
-  std::unique_ptr<numerics::Ilu0Preconditioner> ilu_;
-  std::unique_ptr<numerics::MultigridPreconditioner> multigrid_;
+  std::unique_ptr<numerics::Ilu0Preconditioner> ilu_;  // built by the first solve
   numerics::KrylovWorkspace workspace_;
   std::vector<double> temperatures_;   // last iterate = warm-start field
   bool warm_ = false;

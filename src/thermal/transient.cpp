@@ -101,7 +101,7 @@ TransientEngine::TransientEngine(const ThermalModel& model,
                : model.uniform_state(operating_point.inlet_temperature_k);
   options_.initial_state = nullptr;  // consumed; the engine owns state_ now
   if (options_.backend == TransientBackend::kRom) {
-    rom_ = std::make_unique<ReducedThermalModel>(model, operating_point_, options_.rom);
+    rom_ = std::make_unique<ReducedThermalModel>(model, operating_point_);
   }
 }
 

@@ -82,10 +82,9 @@ struct TransientEngineOptions {
   std::vector<chip::Floorplan> upper_die_floorplans;
   /// Stepping backend. kFull reproduces the seed path bit-for-bit; kRom
   /// serves steps from the reduced model whenever its certified error
-  /// bound stays within rom.tolerance_k, falling back (and enriching the
+  /// bound stays within kRomToleranceK, falling back (and enriching the
   /// basis) on the steps where it does not.
   TransientBackend backend = TransientBackend::kFull;
-  RomOptions rom;  ///< used only when backend == kRom
 };
 
 /// Drives a WorkloadTrace through a ThermalModel with backward-Euler

@@ -137,36 +137,30 @@ TEST(RackSteady, SingleChipMatchesTheDirectThermalSolve) {
 TEST(RackSteady, EveryChipMatchesItsOneShotThermalSolve) {
   // Chips that share a model share one solve context in the rack solve;
   // each chip's answer must still be bitwise the one-shot solve on a fresh
-  // context at that chip's operating point, for either preconditioner.
-  for (const th::SolverKind kind : {th::SolverKind::kIlu0, th::SolverKind::kMultigrid}) {
-    co::SystemConfig base = fast_base();
-    base.thermal_grid.solver_config.kind = kind;
-    fl::RackSpec rack = fl::make_demo_rack(base, 8, 2, 2, /*heterogeneous=*/true);
-    rack.coolant_laws.temperature_dependent = true;
-    rack.coolant_laws.reference_temperature_k = rack.loop_inlet_temperature_k;
-    const fl::RackSolveResult result = fl::solve_rack_steady(rack);
-    ASSERT_EQ(result.chips.size(), rack.chips.size());
-    for (std::size_t i = 0; i < rack.chips.size(); ++i) {
-      const co::SystemConfig& system = rack.chips[i].system;
-      const fl::RackChipResult& chip = result.chips[i];
-      std::vector<ch::Floorplan> floorplans{ch::make_power7_floorplan(system.power_spec)};
-      for (const ch::Power7PowerSpec& upper : system.upper_die_power) {
-        floorplans.push_back(ch::make_power7_floorplan(upper));
-      }
-      std::vector<const ch::Floorplan*> pointers;
-      for (const ch::Floorplan& floorplan : floorplans) {
-        pointers.push_back(&floorplan);
-      }
-      const th::ThermalModel model(system.stack, floorplans.front().die_width(),
-                                   floorplans.front().die_height(), system.thermal_grid);
-      const th::ThermalSolution direct = model.solve_steady(
-          pointers, system.loop_operating_point(chip.flow_m3_per_s, chip.inlet_temperature_k,
-                                                rack.coolant_laws));
-      EXPECT_EQ(chip.peak_temperature_k, direct.peak_temperature_k)
-          << chip.name << ", " << th::solver_kind_name(kind);
-      EXPECT_EQ(chip.heat_absorbed_w, direct.fluid_heat_absorbed_w)
-          << chip.name << ", " << th::solver_kind_name(kind);
+  // context at that chip's operating point.
+  fl::RackSpec rack = fl::make_demo_rack(fast_base(), 8, 2, 2, /*heterogeneous=*/true);
+  rack.coolant_laws.temperature_dependent = true;
+  rack.coolant_laws.reference_temperature_k = rack.loop_inlet_temperature_k;
+  const fl::RackSolveResult result = fl::solve_rack_steady(rack);
+  ASSERT_EQ(result.chips.size(), rack.chips.size());
+  for (std::size_t i = 0; i < rack.chips.size(); ++i) {
+    const co::SystemConfig& system = rack.chips[i].system;
+    const fl::RackChipResult& chip = result.chips[i];
+    std::vector<ch::Floorplan> floorplans{ch::make_power7_floorplan(system.power_spec)};
+    for (const ch::Power7PowerSpec& upper : system.upper_die_power) {
+      floorplans.push_back(ch::make_power7_floorplan(upper));
     }
+    std::vector<const ch::Floorplan*> pointers;
+    for (const ch::Floorplan& floorplan : floorplans) {
+      pointers.push_back(&floorplan);
+    }
+    const th::ThermalModel model(system.stack, floorplans.front().die_width(),
+                                 floorplans.front().die_height(), system.thermal_grid);
+    const th::ThermalSolution direct = model.solve_steady(
+        pointers, system.loop_operating_point(chip.flow_m3_per_s, chip.inlet_temperature_k,
+                                              rack.coolant_laws));
+    EXPECT_EQ(chip.peak_temperature_k, direct.peak_temperature_k) << chip.name;
+    EXPECT_EQ(chip.heat_absorbed_w, direct.fluid_heat_absorbed_w) << chip.name;
   }
 }
 

@@ -131,8 +131,7 @@ TEST(Golden, Fig9DefaultSolverPathIsByteIdentical) {
   // solver path must reproduce the committed fig9 CSVs byte for byte.
   // This is the regression net under every solver-layer refactor — a
   // batched fill or preconditioner change that alters even the last ulp
-  // (or the CSV formatting) trips it. The mg path is exempt: it is only
-  // required to agree within solver tolerance.
+  // (or the CSV formatting) trips it.
   if (update_mode) {
     GTEST_SKIP() << "--update rewrites the files this test compares against";
   }

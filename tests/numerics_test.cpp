@@ -14,7 +14,6 @@
 #include "numerics/interpolation.h"
 #include "numerics/linear_solvers.h"
 #include "numerics/model_reduction.h"
-#include "numerics/multigrid.h"
 #include "numerics/root_finding.h"
 #include "numerics/sparse_matrix.h"
 #include "numerics/tridiagonal.h"
@@ -683,228 +682,6 @@ TEST(Grid, RejectsNonPositiveDimensions) {
   EXPECT_THROW((nm::Grid3<double>(2, -1, 3)), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Geometric multigrid (numerics/multigrid.h)
-// ---------------------------------------------------------------------------
-
-/// Anisotropic 7-point grid operator on an nx x ny x nz box (x fastest, z
-/// slowest — the thermal model's layout): face conductance k/h per
-/// direction plus a uniform diagonal shift (a mass/film term) that keeps
-/// the matrix nonsingular. `dz` holds the per-slice thicknesses.
-nm::CsrMatrix grid_operator(int nx, int ny, int nz, double kx, double ky, double kz,
-                            const std::vector<double>& dz, double diagonal_shift) {
-  auto idx = [&](int ix, int iy, int iz) { return (iz * ny + iy) * nx + ix; };
-  nm::TripletList t;
-  auto pair = [&](int a, int b, double g) {
-    t.add(a, a, g);
-    t.add(b, b, g);
-    t.add(a, b, -g);
-    t.add(b, a, -g);
-  };
-  for (int iz = 0; iz < nz; ++iz) {
-    for (int iy = 0; iy < ny; ++iy) {
-      for (int ix = 0; ix < nx; ++ix) {
-        const int me = idx(ix, iy, iz);
-        if (ix + 1 < nx) {
-          pair(me, idx(ix + 1, iy, iz), kx);
-        }
-        if (iy + 1 < ny) {
-          pair(me, idx(ix, iy + 1, iz), ky);
-        }
-        if (iz + 1 < nz) {
-          const double h = (dz[static_cast<std::size_t>(iz)] +
-                            dz[static_cast<std::size_t>(iz) + 1]) / 2.0;
-          pair(me, idx(ix, iy, iz + 1), kz / h);
-        }
-        t.add(me, me, diagonal_shift);
-      }
-    }
-  }
-  const int n = nx * ny * nz;
-  return nm::CsrMatrix::from_triplets(n, n, t);
-}
-
-TEST(Multigrid, HierarchyHalvesZUntilOne) {
-  const std::vector<double> dz(8, 0.25);
-  const nm::CsrMatrix a = grid_operator(3, 2, 8, 1.0, 1.0, 10.0, dz, 0.5);
-  const nm::MultigridPreconditioner mg(a, /*plane_cells=*/6, dz);
-  ASSERT_EQ(mg.level_count(), 4);  // z: 8 -> 4 -> 2 -> 1
-  EXPECT_EQ(mg.z_count(0), 8);
-  EXPECT_EQ(mg.z_count(1), 4);
-  EXPECT_EQ(mg.z_count(2), 2);
-  EXPECT_EQ(mg.z_count(3), 1);
-  EXPECT_EQ(mg.matrix(0).rows(), 48);
-  EXPECT_EQ(mg.matrix(3).rows(), 6);
-}
-
-TEST(Multigrid, GalerkinCoarseOperatorIsPtAP) {
-  // Check A_1 == P^T A_0 P entry by entry, with P assembled densely from
-  // the reported z-interpolation stencils.
-  const int nx = 2, ny = 2, nz = 6;
-  const int plane = nx * ny;
-  const std::vector<double> dz = {0.1, 0.4, 0.1, 0.4, 0.1, 0.4};  // non-uniform
-  const nm::CsrMatrix a = grid_operator(nx, ny, nz, 1.0, 2.0, 50.0, dz, 0.3);
-  const nm::MultigridPreconditioner mg(a, plane, dz);
-  ASSERT_GE(mg.level_count(), 2);
-  const auto& interp = mg.interpolation(0);
-  const int zc = mg.z_count(1);
-  const int n = a.rows();
-  const int nc = plane * zc;
-
-  // Dense P: fine (p, fz) <- coarse (p, coarse_a/b).
-  std::vector<std::vector<double>> p_dense(static_cast<std::size_t>(n),
-                                           std::vector<double>(static_cast<std::size_t>(nc), 0.0));
-  for (int fz = 0; fz < nz; ++fz) {
-    for (int pc = 0; pc < plane; ++pc) {
-      const auto& w = interp[static_cast<std::size_t>(fz)];
-      p_dense[static_cast<std::size_t>(fz * plane + pc)]
-             [static_cast<std::size_t>(w.coarse_a * plane + pc)] += w.weight_a;
-      p_dense[static_cast<std::size_t>(fz * plane + pc)]
-             [static_cast<std::size_t>(w.coarse_b * plane + pc)] += w.weight_b;
-    }
-  }
-  for (int i = 0; i < nc; ++i) {
-    for (int j = 0; j < nc; ++j) {
-      double rap = 0.0;
-      for (int fi = 0; fi < n; ++fi) {
-        const double pi = p_dense[static_cast<std::size_t>(fi)][static_cast<std::size_t>(i)];
-        if (pi == 0.0) {
-          continue;
-        }
-        for (int fj = 0; fj < n; ++fj) {
-          rap += pi * a.at(fi, fj) *
-                 p_dense[static_cast<std::size_t>(fj)][static_cast<std::size_t>(j)];
-        }
-      }
-      EXPECT_NEAR(mg.matrix(1).at(i, j), rap, 1e-12 * (1.0 + std::abs(rap)))
-          << "coarse entry (" << i << "," << j << ")";
-    }
-  }
-}
-
-TEST(Multigrid, TwoGridCycleIsExactOnRangeOfProlongation) {
-  // For r = A P e_c, the cycle's coarse correction returns exactly P e_c:
-  // P (P^T A P)^{-1} P^T A P e_c = P e_c. With no pre-smoothing, a
-  // two-level hierarchy and an exact coarse solve (ILU(0) is exact LU on
-  // the coarse tridiagonal operator), apply() realizes that identity; the
-  // post-smooth is a no-op because the residual is already zero.
-  const int nz = 8;
-  const std::vector<double> dz(static_cast<std::size_t>(nz), 1.0);
-  const nm::CsrMatrix a = grid_operator(1, 1, nz, 1.0, 1.0, 1.0, dz, 0.2);
-  nm::MultigridOptions options;
-  options.pre_smooth_sweeps = 0;
-  options.post_smooth_sweeps = 1;
-  options.max_levels = 2;
-  options.coarse_sweeps = 1;
-  const nm::MultigridPreconditioner mg(a, /*plane_cells=*/1, dz, options);
-  ASSERT_EQ(mg.level_count(), 2);
-
-  const std::vector<double> e_c = {0.7, -1.3, 0.25, 2.0};
-  const auto& interp = mg.interpolation(0);
-  std::vector<double> pe(static_cast<std::size_t>(nz), 0.0);
-  for (int fz = 0; fz < nz; ++fz) {
-    const auto& w = interp[static_cast<std::size_t>(fz)];
-    pe[static_cast<std::size_t>(fz)] = w.weight_a * e_c[static_cast<std::size_t>(w.coarse_a)] +
-                                       w.weight_b * e_c[static_cast<std::size_t>(w.coarse_b)];
-  }
-  std::vector<double> r(pe.size(), 0.0);
-  a.multiply(pe, r);
-  std::vector<double> z(pe.size(), 0.0);
-  mg.apply(r, z);
-  for (std::size_t i = 0; i < pe.size(); ++i) {
-    EXPECT_NEAR(z[i], pe[i], 1e-12) << "component " << i;
-  }
-}
-
-TEST(Multigrid, VCycleIterationCountIsHIndependent) {
-  // Refining the strongly coupled direction must not degrade the
-  // preconditioner: BiCGSTAB+MG iteration counts stay flat (and small)
-  // as nz doubles, where a one-level method degrades.
-  std::vector<int> iterations;
-  for (const int nz : {16, 32, 64}) {
-    const std::vector<double> dz(static_cast<std::size_t>(nz), 1.0 / nz);
-    const nm::CsrMatrix a = grid_operator(4, 4, nz, 1.0, 1.0, 1.0, dz, 1.0);
-    const nm::MultigridPreconditioner mg(a, /*plane_cells=*/16, dz);
-    const int n = a.rows();
-    std::vector<double> b(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      b[static_cast<std::size_t>(i)] = std::sin(0.37 * i) + 1.5;
-    }
-    std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-    const nm::SolverReport report = nm::solve_bicgstab(a, b, x, &mg);
-    ASSERT_TRUE(report.converged) << "nz = " << nz;
-    iterations.push_back(report.iterations);
-  }
-  const auto [lo, hi] = std::minmax_element(iterations.begin(), iterations.end());
-  EXPECT_LE(*hi, 30);
-  EXPECT_LE(*hi - *lo, 5) << "iterations grew with nz: " << iterations[0] << ", "
-                          << iterations[1] << ", " << iterations[2];
-}
-
-TEST(Multigrid, RefactorMatchesFreshHierarchy) {
-  const int nx = 3, ny = 2, nz = 8;
-  const std::vector<double> dz(static_cast<std::size_t>(nz), 0.125);
-  const nm::CsrMatrix a1 = grid_operator(nx, ny, nz, 1.0, 1.0, 20.0, dz, 0.4);
-  const nm::CsrMatrix a2 = grid_operator(nx, ny, nz, 2.5, 0.5, 35.0, dz, 0.9);
-
-  nm::MultigridPreconditioner refactored(a1, nx * ny, dz);
-  refactored.refactor(a2);
-  const nm::MultigridPreconditioner fresh(a2, nx * ny, dz);
-
-  std::vector<double> r(static_cast<std::size_t>(a2.rows()));
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    r[i] = std::cos(0.21 * static_cast<double>(i));
-  }
-  std::vector<double> z_refactored(r.size(), 0.0);
-  std::vector<double> z_fresh(r.size(), 0.0);
-  refactored.apply(r, z_refactored);
-  fresh.apply(r, z_fresh);
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_DOUBLE_EQ(z_refactored[i], z_fresh[i]) << "component " << i;
-  }
-}
-
-TEST(Multigrid, RefactorRejectsADifferentPattern) {
-  const std::vector<double> dz(4, 0.25);
-  const nm::CsrMatrix a = grid_operator(2, 2, 4, 1.0, 1.0, 5.0, dz, 0.5);
-  nm::MultigridPreconditioner mg(a, 4, dz);
-  const nm::CsrMatrix other = random_spd(16);
-  EXPECT_THROW(mg.refactor(other), std::invalid_argument);
-}
-
-TEST(Multigrid, RejectsDimensionMismatch) {
-  const std::vector<double> dz(4, 0.25);
-  const nm::CsrMatrix a = grid_operator(2, 2, 4, 1.0, 1.0, 5.0, dz, 0.5);
-  EXPECT_THROW(nm::MultigridPreconditioner(a, 5, dz), std::invalid_argument);
-  EXPECT_THROW(nm::MultigridPreconditioner(a, 4, {0.25, 0.25}), std::invalid_argument);
-}
-
-TEST(SparseMatrix, CopyValuesFromRequiresIdenticalPattern) {
-  nm::TripletList t1;
-  t1.add(0, 0, 2.0);
-  t1.add(0, 1, -1.0);
-  t1.add(1, 1, 3.0);
-  nm::CsrMatrix a = nm::CsrMatrix::from_triplets(2, 2, t1);
-
-  nm::TripletList t2;
-  t2.add(0, 0, 5.0);
-  t2.add(0, 1, 7.0);
-  t2.add(1, 1, -4.0);
-  const nm::CsrMatrix b = nm::CsrMatrix::from_triplets(2, 2, t2);
-  a.copy_values_from(b);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 1), 7.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 1), -4.0);
-
-  nm::TripletList t3;  // different pattern: extra (1, 0) entry
-  t3.add(0, 0, 1.0);
-  t3.add(0, 1, 1.0);
-  t3.add(1, 0, 1.0);
-  t3.add(1, 1, 1.0);
-  const nm::CsrMatrix c = nm::CsrMatrix::from_triplets(2, 2, t3);
-  EXPECT_THROW(a.copy_values_from(c), std::invalid_argument);
-}
-
 // ------------------------------------------------------- model reduction
 
 TEST(OrthonormalBasis, AppendOrthonormalizesAndDropsDependents) {
@@ -1006,7 +783,7 @@ double unfused_dot(const std::vector<double>& a, const std::vector<double>& b) {
   return s;
 }
 
-void apply_or_copy(const nm::Preconditioner* m, const std::vector<double>& in,
+void apply_or_copy(const nm::Ilu0Preconditioner* m, const std::vector<double>& in,
                    std::vector<double>& out) {
   if (m != nullptr) {
     m->apply(in, out);
@@ -1017,7 +794,7 @@ void apply_or_copy(const nm::Preconditioner* m, const std::vector<double>& in,
 
 /// The BiCGSTAB recurrence with every reduction in a pass of its own.
 UnfusedReport unfused_bicgstab(const nm::CsrMatrix& a, const std::vector<double>& b,
-                               std::vector<double>& x, const nm::Preconditioner* m,
+                               std::vector<double>& x, const nm::Ilu0Preconditioner* m,
                                const nm::SolverOptions& options) {
   const std::size_t n = b.size();
   std::vector<double> r(n), p(n), v(n), s(n), t(n), phat(n), shat(n);
@@ -1104,7 +881,7 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
 /// guess; returns the reference's report after checking bitwise equality.
 UnfusedReport expect_fused_matches_unfused(const nm::CsrMatrix& a, const std::vector<double>& b,
                                            const std::vector<double>& guess,
-                                           const nm::Preconditioner* m,
+                                           const nm::Ilu0Preconditioner* m,
                                            const nm::SolverOptions& options = {}) {
   std::vector<double> x_fused = guess;
   std::vector<double> x_unfused = guess;

@@ -100,25 +100,6 @@ TEST(RomBackend, BackendNamesAreTheCliVocabulary) {
   EXPECT_STREQ(th::transient_backend_name(th::TransientBackend::kRom), "rom");
 }
 
-TEST(RomBackend, OptionsValidate) {
-  th::RomOptions options;
-  options.validate();  // defaults are valid
-  options.tolerance_k = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.max_basis = 3;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.enrichment_moments = -1;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.drop_tolerance = 0.0;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-  options = {};
-  options.roundoff_floor_k = -1e-12;
-  EXPECT_THROW(options.validate(), std::invalid_argument);
-}
-
 // ------------------------------------------------------------ certificate
 
 TEST(RomCertificate, BoundsTheTrueErrorAgainstTheExactFullSolve) {
@@ -151,7 +132,7 @@ TEST(RomCertificate, BoundsTheTrueErrorAgainstTheExactFullSolve) {
   }
   const th::RomStats& stats = rom.stats();
   EXPECT_GT(stats.last_bound_k, 0.0);
-  EXPECT_LE(stats.last_bound_k, rom.options().tolerance_k);
+  EXPECT_LE(stats.last_bound_k, th::kRomToleranceK);
   // The full solve itself is iterative; its residual-level error is the
   // only slack the certificate does not cover.
   EXPECT_LE(true_error, stats.last_bound_k + 1e-6);
@@ -281,7 +262,7 @@ TEST(RomFallback, WorkloadPerturbationTripsTheBound) {
   // rejection was a real bound trip, not a missing basis.
   EXPECT_GT(rom.rom.full_steps, 1);
   EXPECT_GT(rom.rom.max_rejected_bound_k, rom.rom.max_accepted_bound_k);
-  EXPECT_GT(rom.rom.max_rejected_bound_k, th::RomOptions{}.tolerance_k);
+  EXPECT_GT(rom.rom.max_rejected_bound_k, th::kRomToleranceK);
 }
 
 // ---------------------------------------------------------------- mission
@@ -310,7 +291,7 @@ TEST(RomMission, SurfacesTheCertificateAndTracksTheFullBackend) {
   EXPECT_GT(rom.rom_basis_size, 0);
   EXPECT_GT(rom.rom_build_time_s, 0.0);
   EXPECT_GT(rom.rom_max_bound_k, 0.0);
-  EXPECT_LE(rom.rom_max_bound_k, config.rom.tolerance_k);
+  EXPECT_LE(rom.rom_max_bound_k, th::kRomToleranceK);
   EXPECT_GE(rom.rom_cumulative_bound_k, rom.rom_max_bound_k);
   EXPECT_EQ(rom.steps, full.steps);
 

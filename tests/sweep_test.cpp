@@ -127,7 +127,7 @@ TEST(SweepScenario, CountsAndFlagsRejectNonIntegerValues) {
     }
   }
   for (const double bad : {0.5, 2.0, -1.0, std::nan("")}) {
-    EXPECT_THROW((void)sw::flag_param("solver", bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)sw::flag_param("interlayer", bad), std::invalid_argument) << bad;
   }
   // The appliers go through the same checks.
   sw::ScenarioSpec scenario;

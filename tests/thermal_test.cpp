@@ -452,28 +452,23 @@ TEST(SolveContext, TransientStepsMatchTheOneShotPath) {
   // The operator depends only on (op, dt): ten steps at one operating
   // point reuse the first step's factorization, and each field is bitwise
   // the one a fresh context (which factors anew) computes.
-  for (const th::SolverKind kind : {th::SolverKind::kIlu0, th::SolverKind::kMultigrid}) {
-    auto grid = coarse_grid();
-    grid.solver_config.kind = kind;
-    const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                                 ch::kPower7DieHeightM, grid);
-    const auto fp = ch::make_power7_floorplan();
-    const auto op = nominal_op();
+  const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
+                               ch::kPower7DieHeightM, coarse_grid());
+  const auto fp = ch::make_power7_floorplan();
+  const auto op = nominal_op();
 
-    auto state_one_shot = model.uniform_state(kInlet);
-    auto state_context = model.uniform_state(kInlet);
-    th::ThermalSolveContext context(model);
-    for (int step = 0; step < 10; ++step) {
-      const auto a = step_once(model, state_one_shot, fp, op, 0.05);
-      const auto b = context_step(context, state_context, fp, op, 0.05);
-      state_one_shot = a.temperature_k;
-      state_context = b.temperature_k;
-      ASSERT_EQ(state_context.data(), state_one_shot.data())
-          << th::solver_kind_name(kind) << " step " << step;
-    }
-    EXPECT_EQ(context.stats().solves, 10);
-    EXPECT_EQ(context.stats().factorizations, 1) << th::solver_kind_name(kind);
+  auto state_one_shot = model.uniform_state(kInlet);
+  auto state_context = model.uniform_state(kInlet);
+  th::ThermalSolveContext context(model);
+  for (int step = 0; step < 10; ++step) {
+    const auto a = step_once(model, state_one_shot, fp, op, 0.05);
+    const auto b = context_step(context, state_context, fp, op, 0.05);
+    state_one_shot = a.temperature_k;
+    state_context = b.temperature_k;
+    ASSERT_EQ(state_context.data(), state_one_shot.data()) << "step " << step;
   }
+  EXPECT_EQ(context.stats().solves, 10);
+  EXPECT_EQ(context.stats().factorizations, 1);
 }
 
 TEST(SolveContext, ChangedOperatorRefactors) {
@@ -670,105 +665,6 @@ TEST(MultiDie, TransientConvergesToSteadyOnTwoDieStack) {
     peak = sol.peak_temperature_k;
   }
   EXPECT_NEAR(peak, steady.peak_temperature_k, 0.2);
-}
-
-
-// --------------------------------------------------------------- multigrid
-
-th::ThermalModel::GridSettings mg_grid() {
-  th::ThermalModel::GridSettings g = coarse_grid();
-  g.solver_config.kind = th::SolverKind::kMultigrid;
-  return g;
-}
-
-TEST(SolverConfig, DefaultIsIlu0) {
-  // The golden fig9 / sweep byte-identity guarantees hang off this default.
-  const th::ThermalGridSettings settings;
-  EXPECT_EQ(settings.solver_config.kind, th::SolverKind::kIlu0);
-}
-
-TEST(SolverConfig, KindNamesAreTheCliVocabulary) {
-  EXPECT_STREQ(th::solver_kind_name(th::SolverKind::kIlu0), "ilu0");
-  EXPECT_STREQ(th::solver_kind_name(th::SolverKind::kMultigrid), "mg");
-}
-
-TEST(SolverConfig, ZCellThicknessesMatchTheStack) {
-  const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                               ch::kPower7DieHeightM, coarse_grid());
-  const std::vector<double> dz = model.z_cell_thicknesses();
-  ASSERT_EQ(static_cast<int>(dz.size()), model.nz());
-  double total = 0.0;
-  for (const double h : dz) {
-    EXPECT_GT(h, 0.0);
-    total += h;
-  }
-  double expected = 0.0;
-  for (const th::StackLayer& layer : model.stack().layers) {
-    if (const auto* solid = std::get_if<th::SolidLayerSpec>(&layer)) {
-      expected += solid->thickness_m;
-    } else {
-      expected += std::get<th::MicrochannelLayerSpec>(layer).layer_height_m;
-    }
-  }
-  EXPECT_NEAR(total, expected, 1e-12);
-}
-
-TEST(SolverConfig, MultigridMatchesIlu0OnSingleDie) {
-  const auto fp = ch::make_power7_floorplan();
-  const th::ThermalModel ilu_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                                   ch::kPower7DieHeightM, coarse_grid());
-  const th::ThermalModel mg_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                                  ch::kPower7DieHeightM, mg_grid());
-  const auto ilu = ilu_model.solve_steady(fp, nominal_op());
-  const auto mg = mg_model.solve_steady(fp, nominal_op());
-  ASSERT_TRUE(ilu.solver_report.converged);
-  ASSERT_TRUE(mg.solver_report.converged);
-  // Same operator, same tolerance, different preconditioner: solutions
-  // agree to solver tolerance (fields span ~30 K above inlet).
-  EXPECT_NEAR(mg.peak_temperature_k, ilu.peak_temperature_k, 1e-6);
-  const auto& ti = ilu.temperature_k.data();
-  const auto& tm = mg.temperature_k.data();
-  ASSERT_EQ(ti.size(), tm.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < ti.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(ti[i] - tm[i]));
-  }
-  EXPECT_LT(max_diff, 1e-6);
-}
-
-TEST(SolverConfig, MultigridMatchesIlu0OnThreeDieStack) {
-  const th::StackSpec stack = th::multi_die_stack(/*die_count=*/3);
-  const auto core_die = ch::make_power7_floorplan();
-  const auto memory_die = ch::make_power7_floorplan(ch::memory_die_power_spec());
-  const ch::Floorplan* floorplans[] = {&core_die, &memory_die, &memory_die};
-
-  const th::ThermalModel ilu_model(stack, ch::kPower7DieWidthM, ch::kPower7DieHeightM,
-                                   coarse_grid());
-  const th::ThermalModel mg_model(stack, ch::kPower7DieWidthM, ch::kPower7DieHeightM,
-                                  mg_grid());
-  const auto ilu = ilu_model.solve_steady(floorplans, nominal_op());
-  const auto mg = mg_model.solve_steady(floorplans, nominal_op());
-  ASSERT_TRUE(ilu.solver_report.converged);
-  ASSERT_TRUE(mg.solver_report.converged);
-  EXPECT_NEAR(mg.peak_temperature_k, ilu.peak_temperature_k, 1e-6);
-  EXPECT_NEAR(mg.fluid_heat_absorbed_w, ilu.fluid_heat_absorbed_w,
-              1e-6 * std::max(1.0, std::abs(ilu.fluid_heat_absorbed_w)));
-  // The report surfaces the setup/iterate split for both paths.
-  EXPECT_GE(mg.solver_report.setup_time_s, 0.0);
-  EXPECT_GE(ilu.solver_report.setup_time_s, 0.0);
-}
-
-TEST(SolverConfig, MultigridTransientStepMatchesIlu0) {
-  const auto fp = ch::make_power7_floorplan();
-  const th::ThermalModel ilu_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                                   ch::kPower7DieHeightM, coarse_grid());
-  const th::ThermalModel mg_model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                                  ch::kPower7DieHeightM, mg_grid());
-  const auto state = ilu_model.uniform_state(kInlet);
-  const auto ilu = step_once(ilu_model, state, fp, nominal_op(), 1e-3);
-  const auto mg = step_once(mg_model, state, fp, nominal_op(), 1e-3);
-  ASSERT_TRUE(mg.solver_report.converged);
-  EXPECT_NEAR(mg.peak_temperature_k, ilu.peak_temperature_k, 1e-6);
 }
 
 }  // namespace

@@ -127,10 +127,10 @@ TEST(CliArgs, DuplicateFlagsLastWins) {
 }
 
 TEST(CliArgs, NextChoiceArgAcceptsListedValuesAndAdvances) {
-  Argv args({"prog", "--solver", "mg", "--transient", "rom"});
+  Argv args({"prog", "--algo", "nsga2", "--transient", "rom"});
   int i = 1;
-  EXPECT_EQ(to::next_choice_arg(args.argc(), args.argv(), i, "--solver", {"ilu0", "mg"}),
-            "mg");
+  EXPECT_EQ(to::next_choice_arg(args.argc(), args.argv(), i, "--algo", {"grid", "nsga2"}),
+            "nsga2");
   EXPECT_EQ(i, 2);  // consumed the value slot
   i = 3;
   EXPECT_EQ(to::next_choice_arg(args.argc(), args.argv(), i, "--transient", {"full", "rom"}),
@@ -147,14 +147,14 @@ TEST(CliArgs, NextChoiceArgRejectsUnlistedValueListingTheVocabulary) {
   });
   EXPECT_EQ(message, "invalid value 'nope' after --transient (expected one of: full, rom)");
 
-  Argv solver_args({"prog", "--solver", "cholesky"});
+  Argv algo_args({"prog", "--algo", "annealing"});
   i = 1;
-  const std::string solver_message = invalid_argument_message([&] {
-    (void)to::next_choice_arg(solver_args.argc(), solver_args.argv(), i, "--solver",
-                              {"ilu0", "mg"});
+  const std::string algo_message = invalid_argument_message([&] {
+    (void)to::next_choice_arg(algo_args.argc(), algo_args.argv(), i, "--algo",
+                              {"grid", "nsga2"});
   });
-  EXPECT_EQ(solver_message,
-            "invalid value 'cholesky' after --solver (expected one of: ilu0, mg)");
+  EXPECT_EQ(algo_message,
+            "invalid value 'annealing' after --algo (expected one of: grid, nsga2)");
 }
 
 TEST(CliArgs, NextChoiceArgMissingValueNamesTheFlag) {

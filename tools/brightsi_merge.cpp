@@ -17,9 +17,9 @@
 //   --quiet           suppress the summary line on stdout
 //   --allow-missing   emit pending rows for scenarios not in the store
 //                     (default: a missing row is an error)
-//   --solver ilu0|mg, --transient full|rom
-//                     must match the flags the sweep ran with (they stamp
-//                     scenario overrides, which the content hash covers)
+//   --transient full|rom
+//                     must match the flag the sweep ran with (it stamps a
+//                     scenario override, which the content hash covers)
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -37,7 +37,7 @@ namespace {
 int usage(const char* argv0, int exit_code) {
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s <plan> --store DIR [--csv FILE] [--json FILE] [--quiet]\n"
-               "           [--allow-missing] [--solver ilu0|mg] [--transient full|rom]\n",
+               "           [--allow-missing] [--transient full|rom]\n",
                argv0);
   return exit_code;
 }
@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     std::string store_dir;
     std::string csv_path;
     std::string json_path;
-    std::string solver_name;
     std::string transient_name;
     bool quiet = false;
     bool allow_missing = false;
@@ -75,8 +74,6 @@ int main(int argc, char** argv) {
         quiet = true;
       } else if (arg == "--allow-missing") {
         allow_missing = true;
-      } else if (arg == "--solver") {
-        solver_name = brightsi::tools::next_choice_arg(argc, argv, i, arg, {"ilu0", "mg"});
       } else if (arg == "--transient") {
         transient_name =
             brightsi::tools::next_choice_arg(argc, argv, i, arg, {"full", "rom"});
@@ -94,13 +91,6 @@ int main(int argc, char** argv) {
     sw::SweepPlan plan = sw::make_registered_plan(command);
     // Mirror brightsi_sweep's flag-to-override stamping exactly, so the
     // expanded scenarios hash to the same store keys.
-    if (!solver_name.empty()) {
-      for (sw::ScenarioSpec& scenario : plan.scenarios) {
-        if (!scenario.get("solver")) {
-          scenario.set("solver", solver_name == "mg" ? 1.0 : 0.0);
-        }
-      }
-    }
     if (transient_name == "rom") {
       for (sw::ScenarioSpec& scenario : plan.scenarios) {
         if (!scenario.get("transient")) {

@@ -28,7 +28,6 @@
 //   --pareto FILE     Pareto-front rows (sweep row format)
 //   --json FILE       study metadata + best + front + archive as JSON
 //   --quiet           suppress the result tables on stdout
-//   --solver S        thermal preconditioner: ilu0 (default) or mg
 //   --transient B     thermal stepping backend for mission studies:
 //                     full (default) or rom (certified reduced-order)
 //   --store DIR       content-addressed result store (sweep/execution.h):
@@ -63,7 +62,7 @@ int usage(const char* argv0, int exit_code) {
                "           [--screen-factor K] [--seed S] [--no-reuse]\n"
                "           [--maximize M[*W]] [--minimize M[*W]] [--cap M=V] [--floor M=V]\n"
                "           [--csv FILE] [--pareto FILE] [--json FILE] [--quiet]\n"
-               "           [--solver ilu0|mg] [--transient full|rom] [--store DIR]\n",
+               "           [--transient full|rom] [--store DIR]\n",
                argv0, argv0);
   return exit_code;
 }
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
     std::string pareto_path;
     std::string json_path;
     bool quiet = false;
-    std::string solver_name;
     std::string transient_name;
     std::string store_dir;
     std::vector<op::ObjectiveTerm> term_overrides;
@@ -200,8 +198,6 @@ int main(int argc, char** argv) {
         json_path = next();
       } else if (arg == "--quiet") {
         quiet = true;
-      } else if (arg == "--solver") {
-        solver_name = brightsi::tools::next_choice_arg(argc, argv, i, arg, {"ilu0", "mg"});
       } else if (arg == "--transient") {
         transient_name =
             brightsi::tools::next_choice_arg(argc, argv, i, arg, {"full", "rom"});
@@ -215,11 +211,6 @@ int main(int argc, char** argv) {
     }
 
     op::Study study = op::make_registered_study(command);
-    if (!solver_name.empty()) {
-      // A fixed override of the registered "solver" parameter (not a base
-      // mutation) so the store's content hash sees the choice.
-      study.fixed.emplace_back("solver", solver_name == "mg" ? 1.0 : 0.0);
-    }
     if (transient_name == "rom") {
       // Candidate names derive from searched parameters only, so the fixed
       // backend override keeps archive rows comparable against a full run.

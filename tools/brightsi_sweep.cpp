@@ -58,7 +58,7 @@ int usage(const char* argv0, int exit_code) {
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s --list | --params\n"
                "       %s <plan> [--threads N] [--csv FILE] [--json FILE]"
-               " [--timing FILE] [--quiet] [--no-reuse] [--solver ilu0|mg]"
+               " [--timing FILE] [--quiet] [--no-reuse]"
                " [--transient full|rom] [--store DIR [--shard I/N] [--limit N]"
                " [--lease-timeout S]]\n"
                "       %s custom --evaluator %s (--grid p=v1,v2,... | --set p=v)..."
@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
     std::string timing_path;
     bool quiet = false;
     std::string evaluator_name;
-    std::string solver_name;
     std::string transient_name;
     std::vector<sw::GridAxis> grid_axes;
     std::vector<std::pair<std::string, double>> fixed;
@@ -199,8 +198,6 @@ int main(int argc, char** argv) {
         options.reuse_structures = false;
       } else if (arg == "--evaluator") {
         evaluator_name = next();
-      } else if (arg == "--solver") {
-        solver_name = brightsi::tools::next_choice_arg(argc, argv, i, arg, {"ilu0", "mg"});
       } else if (arg == "--transient") {
         transient_name =
             brightsi::tools::next_choice_arg(argc, argv, i, arg, {"full", "rom"});
@@ -241,15 +238,6 @@ int main(int argc, char** argv) {
       plan.add_grid(grid_axes, fixed);
     } else {
       plan = sw::make_registered_plan(command);
-    }
-    if (!solver_name.empty()) {
-      // Stamped as the registered "solver" scenario override (not a base
-      // mutation) so the store's content hash sees the choice.
-      for (sw::ScenarioSpec& scenario : plan.scenarios) {
-        if (!scenario.get("solver")) {
-          scenario.set("solver", solver_name == "mg" ? 1.0 : 0.0);
-        }
-      }
     }
     if (transient_name == "rom") {
       // Stamp the backend onto every scenario (an explicit per-scenario

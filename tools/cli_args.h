@@ -82,8 +82,8 @@ inline double next_seconds_arg(int argc, char** argv, int& i, const std::string&
   return value;
 }
 
-/// next_arg constrained to an enumerated vocabulary (--solver ilu0|mg,
-/// --transient full|rom). Throws with the full list of valid choices, so a
+/// next_arg constrained to an enumerated vocabulary (--transient full|rom,
+/// --algo grid|nsga2). Throws with the full list of valid choices, so a
 /// typo tells the user the vocabulary instead of just rejecting; both CLIs
 /// share the one message (pinned by tests/tools_test.cpp and the
 /// PASS_REGULAR_EXPRESSION ctest cases).
