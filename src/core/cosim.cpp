@@ -48,20 +48,12 @@ IntegratedMpsocSystem::IntegratedMpsocSystem(
   for (const chip::Power7PowerSpec& upper : config_.upper_die_power) {
     floorplans_.push_back(chip::make_power7_floorplan(upper));
   }
-  const chip::Floorplan& primary = floorplans_.front();
   if (thermal_model != nullptr) {
-    // The shared model must have been built from exactly this config's
-    // structural inputs; anything less (shape-only checks) would accept a
-    // model with different layer materials or discretization.
-    ensure(thermal_model->stack() == config_.stack &&
-               thermal_model->settings() == config_.thermal_grid &&
-               thermal_model->die_width_m() == primary.die_width() &&
-               thermal_model->die_height_m() == primary.die_height(),
+    ensure(thermal_model_matches(*thermal_model, config_),
            "shared thermal model does not match the configured stack/grid");
     thermal_model_ = std::move(thermal_model);
   } else {
-    thermal_model_ = std::make_shared<const thermal::ThermalModel>(
-        config_.stack, primary.die_width(), primary.die_height(), config_.thermal_grid);
+    thermal_model_ = build_thermal_model(config_);
   }
   thermal_context_ = std::make_unique<thermal::ThermalSolveContext>(*thermal_model_);
 

@@ -116,9 +116,9 @@ class IntegratedMpsocSystem {
   /// Builds the system around an already-assembled thermal model and an
   /// already-solved cache rail (shared across systems whose scenarios
   /// differ only in operating-point parameters — the sweep structure
-  /// cache). The model must match the config's thermal grid and stack,
-  /// and the rail must match the config (CacheRail::matches); a null
-  /// pointer builds or solves its own.
+  /// cache). The model must match the config (thermal_model_matches) and
+  /// the rail must match the config (CacheRail::matches); a null pointer
+  /// builds or solves its own.
   IntegratedMpsocSystem(SystemConfig config,
                         std::shared_ptr<const thermal::ThermalModel> thermal_model,
                         std::shared_ptr<const CacheRail> cache_rail);

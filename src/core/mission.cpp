@@ -160,14 +160,10 @@ MissionResult run_mission(const MissionConfig& config,
   // Thermal model shared across the mission (built here unless the caller
   // hands one in, e.g. the sweep's per-worker cache); the transient engine
   // carries one solve context across every step.
-  const chip::Floorplan reference_floorplan = chip::make_power7_floorplan(sys.power_spec);
   if (thermal_model == nullptr) {
-    thermal_model = std::make_shared<const th::ThermalModel>(
-        sys.stack, reference_floorplan.die_width(), reference_floorplan.die_height(),
-        sys.thermal_grid);
+    thermal_model = build_thermal_model(sys);
   } else {
-    ensure(thermal_model->stack() == sys.stack &&
-               thermal_model->settings() == sys.thermal_grid,
+    ensure(thermal_model_matches(*thermal_model, sys),
            "run_mission: shared thermal model does not match the system config");
   }
   if (thermal_model->channel_layer_count() > 1) {

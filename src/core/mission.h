@@ -127,8 +127,8 @@ struct MissionThermalTrajectory {
 [[nodiscard]] MissionResult run_mission(const MissionConfig& config);
 
 /// As above, with an externally assembled thermal model (per-worker sweep
-/// caches share one across scenarios; it must match config.system's stack
-/// and grid settings) and an optional thermal-field checkpoint to resume
+/// caches share one across scenarios; it must match config.system, see
+/// thermal_model_matches) and an optional thermal-field checkpoint to resume
 /// from. Either argument may be null/absent.
 ///
 /// `record`, when non-null, captures the thermal trajectory of this run.

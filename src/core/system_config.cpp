@@ -50,6 +50,17 @@ thermal::OperatingPoint SystemConfig::loop_operating_point(
   return op;
 }
 
+std::shared_ptr<const thermal::ThermalModel> build_thermal_model(const SystemConfig& config) {
+  return std::make_shared<const thermal::ThermalModel>(
+      config.stack, chip::kPower7DieWidthM, chip::kPower7DieHeightM, config.thermal_grid);
+}
+
+bool thermal_model_matches(const thermal::ThermalModel& model, const SystemConfig& config) {
+  return model.stack() == config.stack && model.die_width_m() == chip::kPower7DieWidthM &&
+         model.die_height_m() == chip::kPower7DieHeightM &&
+         model.settings() == config.thermal_grid;
+}
+
 SystemConfig power7_system_config() {
   SystemConfig config;
   config.power_spec = chip::Power7PowerSpec{};

@@ -3,6 +3,8 @@
 #ifndef BRIGHTSI_CORE_SYSTEM_CONFIG_H
 #define BRIGHTSI_CORE_SYSTEM_CONFIG_H
 
+#include <memory>
+
 #include "chip/power7.h"
 #include "electrochem/species.h"
 #include "flowcell/cell_array.h"
@@ -58,7 +60,21 @@ struct SystemConfig {
   [[nodiscard]] thermal::OperatingPoint loop_operating_point(
       double flow_m3_per_s, double inlet_temperature_k,
       const thermal::CoolantPropertyLaws& laws) const;
+
+  friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
+
+/// The assembled thermal model this config implies: its stack and thermal
+/// grid over the die outline (every die of a config is the POWER7+ outline
+/// of chip::make_power7_floorplan).
+[[nodiscard]] std::shared_ptr<const thermal::ThermalModel> build_thermal_model(
+    const SystemConfig& config);
+
+/// True when `model` is the one build_thermal_model(config) assembles: its
+/// three constructor inputs (stack, die outline, thermal grid) compare
+/// equal. The one key check of every thermal-model reuse.
+[[nodiscard]] bool thermal_model_matches(const thermal::ThermalModel& model,
+                                         const SystemConfig& config);
 
 /// The paper's case study: POWER7+ floorplan at full load, Table II array
 /// at 676 ml/min / 300 K, Fig. 8 PDN calibration, 50 % pump.

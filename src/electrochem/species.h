@@ -27,6 +27,8 @@ struct RedoxCouple {
   double standard_potential_v = 0.0;  ///< E0 vs SHE
   int electrons = 1;                  ///< n in eq. (1)
   double anodic_transfer_coefficient = 0.5;  ///< alpha in paper eq. (6)
+
+  friend bool operator==(const RedoxCouple&, const RedoxCouple&) = default;
 };
 
 /// Bulk electrolyte properties with temperature laws. Thermal values are
@@ -40,6 +42,8 @@ struct ElectrolyteProperties {
 
   /// Validates physical plausibility; throws std::invalid_argument.
   void validate() const;
+
+  friend bool operator==(const ElectrolyteProperties&, const ElectrolyteProperties&) = default;
 };
 
 /// A half-cell: couple, inlet composition and rate/transport parameters.
@@ -52,6 +56,8 @@ struct HalfCellSpec {
 
   /// Validates physical plausibility; throws std::invalid_argument.
   void validate() const;
+
+  friend bool operator==(const HalfCellSpec&, const HalfCellSpec&) = default;
 };
 
 /// Complete chemistry of a co-laminar flow cell: both half-cells plus the
@@ -67,6 +73,8 @@ struct FlowCellChemistry {
   }
 
   void validate() const;
+
+  friend bool operator==(const FlowCellChemistry&, const FlowCellChemistry&) = default;
 };
 
 }  // namespace brightsi::electrochem

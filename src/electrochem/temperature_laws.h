@@ -27,6 +27,8 @@ struct ArrheniusLaw {
 
   /// Evaluates the law at `temperature_k` (must be > 0; checked).
   [[nodiscard]] double at(double temperature_k) const;
+
+  friend bool operator==(const ArrheniusLaw&, const ArrheniusLaw&) = default;
 };
 
 /// mu(T) = reference * exp( +(Ea/R) * (1/T - 1/T_ref) ): decreases with T
@@ -37,6 +39,8 @@ struct ViscosityLaw {
   double reference_temperature_k = 300.0;
 
   [[nodiscard]] double at(double temperature_k) const;
+
+  friend bool operator==(const ViscosityLaw&, const ViscosityLaw&) = default;
 };
 
 /// value(T) = reference * (1 + coefficient * (T - T_ref)).
@@ -46,6 +50,8 @@ struct LinearLaw {
   double reference_temperature_k = 300.0;
 
   [[nodiscard]] double at(double temperature_k) const;
+
+  friend bool operator==(const LinearLaw&, const LinearLaw&) = default;
 };
 
 }  // namespace brightsi::electrochem

@@ -49,24 +49,17 @@ std::vector<ChipEngine> build_engines(const RackSpec& rack) {
       engine.pointers.push_back(&floorplan);
     }
 
-    const chip::Floorplan& primary = engine.floorplans.front();
-    // Structurally identical chips (same stack, grid settings and die
-    // outline) share one assembled model — the fleet analog of the sweep
-    // worker's structure cache; results are bitwise unaffected.
+    // Chips whose configs imply the same model (core::thermal_model_matches)
+    // share one assembled model — the fleet analog of the sweep worker's
+    // structure cache; results are bitwise unaffected.
     for (std::size_t prior = 0; prior + 1 < engines.size(); ++prior) {
-      const ChipEngine& other = engines[prior];
-      if (other.model != nullptr && other.chip->system.stack == c.system.stack &&
-          other.chip->system.thermal_grid == c.system.thermal_grid &&
-          other.model->die_width_m() == primary.die_width() &&
-          other.model->die_height_m() == primary.die_height()) {
-        engine.model = other.model;
+      if (core::thermal_model_matches(*engines[prior].model, c.system)) {
+        engine.model = engines[prior].model;
         break;
       }
     }
     if (engine.model == nullptr) {
-      engine.model = std::make_shared<const thermal::ThermalModel>(
-          c.system.stack, primary.die_width(), primary.die_height(),
-          c.system.thermal_grid);
+      engine.model = core::build_thermal_model(c.system);
     }
 
     engine.branch.name = c.name;
@@ -74,7 +67,7 @@ std::vector<ChipEngine> build_engines(const RackSpec& rack) {
       for (const thermal::MicrochannelLayerSpec* layer : c.system.stack.channel_layers()) {
         engine.branch.groups.push_back(
             {hydraulics::RectangularDuct(layer->channel_width_m, layer->layer_height_m,
-                                         primary.die_height()),
+                                         engine.floorplans.front().die_height()),
              layer->channel_count, layer->name});
       }
     }

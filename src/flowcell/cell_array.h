@@ -29,6 +29,8 @@ struct ArraySpec {
   [[nodiscard]] double per_channel_flow() const {
     return total_flow_m3_per_s / channel_count;
   }
+
+  friend bool operator==(const ArraySpec&, const ArraySpec&) = default;
 };
 
 /// Table II array: 88 channels of power7_channel_geometry() fed with

@@ -64,6 +64,8 @@ struct CellGeometry {
   }
 
   void validate() const;
+
+  friend bool operator==(const CellGeometry&, const CellGeometry&) = default;
 };
 
 /// Paper Table I validation-cell geometry (Kjeang 2007): 33 mm x 2 mm x
@@ -101,6 +103,8 @@ struct FvmSettings {
   int transverse_cells = 120;  ///< cells across the electrode gap
   int axial_steps = 200;       ///< implicit marching steps along the channel
   void validate() const;
+
+  friend bool operator==(const FvmSettings&, const FvmSettings&) = default;
 };
 
 }  // namespace brightsi::flowcell

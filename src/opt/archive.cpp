@@ -26,7 +26,7 @@ EvaluationArchive::EvaluationArchive(const Study& study, const SearchOptions& op
     throw std::invalid_argument("optimizer budget must be at least 1");
   }
   if (backend_ == nullptr) {
-    backend_ = sweep::make_local_backend({options.thread_count, options.reuse_structures});
+    backend_ = sweep::make_local_backend({options.thread_count});
   }
   result_.algo = std::move(algo);
   result_.study_name = study.name;

@@ -21,8 +21,8 @@ namespace brightsi::opt {
 class EvaluationArchive {
  public:
   /// Throws std::invalid_argument on an invalid study or a budget < 1. A
-  /// null options.backend selects a local pool from thread_count and
-  /// reuse_structures; `algo` names the search policy in the result.
+  /// null options.backend selects a local pool from thread_count; `algo`
+  /// names the search policy in the result.
   EvaluationArchive(const Study& study, const SearchOptions& options, std::string algo);
 
   /// Evaluates the not-yet-archived prefix of `candidates` that fits the

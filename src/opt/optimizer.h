@@ -44,9 +44,9 @@ struct Study {
   ObjectiveSpec objective;
   std::vector<StudyParameter> parameters;
   /// Overrides stamped onto every candidate before its searched parameters
-  /// (a searched parameter with the same name wins). Candidate names are
-  /// derived from the searched parameters only, so fixing e.g. the
-  /// transient backend leaves archive rows byte-comparable across runs.
+  /// (a searched parameter with the same name wins), e.g. rack_topology's
+  /// temperature-dependent coolant. Candidate names are derived from the
+  /// searched parameters only.
   std::vector<std::pair<std::string, double>> fixed;
 
   /// Throws std::invalid_argument on an empty parameter set, an
@@ -60,11 +60,10 @@ struct Study {
 struct SearchOptions {
   int budget = 64;           ///< max evaluator invocations (hard cap)
   int thread_count = 0;      ///< batch workers; 0 = hardware concurrency
-  bool reuse_structures = true;
   /// Execution backend (sweep/execution.h). Null = the in-process local
-  /// backend from thread_count/reuse_structures; a shard backend gives the
-  /// study a persistent on-disk result store, so a re-run (or a widened
-  /// budget) skips already-evaluated candidates.
+  /// backend from thread_count; a shard backend gives the study a
+  /// persistent on-disk result store, so a re-run (or a widened budget)
+  /// skips already-evaluated candidates.
   std::shared_ptr<sweep::ExecutionBackend> backend;
 };
 

@@ -24,6 +24,8 @@ struct VrmSpec {
   double max_input_voltage_v = 2.0;
 
   void validate() const;
+
+  friend bool operator==(const VrmSpec&, const VrmSpec&) = default;
 };
 
 }  // namespace brightsi::pdn

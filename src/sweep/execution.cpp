@@ -56,8 +56,7 @@ void sum_worker_caches(const std::vector<WorkerState>& workers, ExecutionStats& 
 class LocalBackend final : public ExecutionBackend {
  public:
   explicit LocalBackend(SweepOptions options)
-      : workers_(static_cast<std::size_t>(resolve_thread_count(options)),
-                 WorkerState(options.reuse_structures)) {}
+      : workers_(static_cast<std::size_t>(resolve_thread_count(options))) {}
 
   [[nodiscard]] const char* name() const override { return "local"; }
   [[nodiscard]] int thread_count() const override {
@@ -90,8 +89,7 @@ class ShardBackend final : public ExecutionBackend {
  public:
   explicit ShardBackend(ShardOptions options)
       : options_(std::move(options)),
-        workers_(static_cast<std::size_t>(resolve_thread_count(options_.local)),
-                 WorkerState(options_.local.reuse_structures)) {
+        workers_(static_cast<std::size_t>(resolve_thread_count(options_.local))) {
     if (options_.store_dir.empty()) {
       throw std::invalid_argument("shard backend needs a store directory");
     }
@@ -238,6 +236,7 @@ ScenarioResult evaluate_scenario(const core::SystemConfig& base,
   row.name = scenario.name;
   row.overrides = scenario.overrides;
   const auto start = std::chrono::steady_clock::now();
+  worker.serve(base);
   try {
     const core::SystemConfig config = apply_scenario(base, scenario);
     config.validate();

@@ -51,7 +51,7 @@ class ExecutionBackend {
   [[nodiscard]] virtual ExecutionStats stats() const = 0;
 };
 
-/// The in-process thread pool (thread count and reuse from `options`).
+/// The in-process thread pool (thread count from `options`).
 [[nodiscard]] std::unique_ptr<ExecutionBackend> make_local_backend(SweepOptions options = {});
 
 struct ShardOptions {
@@ -85,7 +85,8 @@ struct ShardOptions {
                                               bool allow_missing = false);
 
 /// Evaluates one scenario against `base` — the shared per-row body of
-/// every backend (exceptions become a failed row; timing recorded).
+/// every backend (exceptions become a failed row; timing recorded). Points
+/// `worker` at `base` first (WorkerState::serve).
 [[nodiscard]] ScenarioResult evaluate_scenario(const core::SystemConfig& base,
                                                const SweepEvaluator& evaluator,
                                                const ScenarioSpec& scenario,

@@ -11,7 +11,7 @@
 // parameters reuse the assembled thermal model and the solved cache rail,
 // and mission scenarios that differ only in electrochemical knobs replay
 // one recorded thermal trajectory. Reuse never changes result bytes —
-// sweep_test cross-checks cached vs uncached rows at 1 and N threads.
+// sweep_test cross-checks rows against fresh workers at 1 and N threads.
 #ifndef BRIGHTSI_SWEEP_RUNNER_H
 #define BRIGHTSI_SWEEP_RUNNER_H
 
@@ -66,11 +66,6 @@ struct SweepResult {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   int thread_count = 0;
-  /// Per-worker reuse of assembled model structure, solved cache rails and
-  /// recorded mission trajectories across scenarios. Result rows are
-  /// byte-identical either way; disable to cross-check that invariant or
-  /// to bound memory.
-  bool reuse_structures = true;
 };
 
 /// The options' thread count with 0 resolved to hardware concurrency

@@ -196,22 +196,20 @@ const std::vector<ParameterInfo>& parameter_registry() {
       {"axial_cells", "thermal-grid cells along the flow direction",
        [](core::SystemConfig& c, double v) {
          c.thermal_grid.axial_cells = whole_number_param("axial_cells", v);
-       },
-       /*thermal_structural=*/true},
+       }},
       {"die_count", "dies in the 3D stack (rebuilds a multi-die stack + per-die workload)",
-       nullptr, /*thermal_structural=*/true, apply_stack_rebuild},
+       nullptr, apply_stack_rebuild},
       {"interlayer", "1 = microchannel layer above every die, 0 = top-die cooling only",
-       nullptr, /*thermal_structural=*/true, apply_stack_rebuild},
+       nullptr, apply_stack_rebuild},
       {"stack_layers", "z-cells per die bulk layer (3D-stack vertical resolution)",
-       nullptr, /*thermal_structural=*/true, apply_stack_rebuild},
+       nullptr, apply_stack_rebuild},
       {"stack_channel_height_um",
        "cooling-layer etch depth, every stack layer + the flow-cell channels (um)",
-       [](core::SystemConfig& c, double v) { set_channel_heights(c, v * 1e-6); },
-       /*thermal_structural=*/true},
+       [](core::SystemConfig& c, double v) { set_channel_heights(c, v * 1e-6); }},
       {"pump_efficiency", "hydraulic pump efficiency (0, 1]",
        [](core::SystemConfig& c, double v) { c.pump_efficiency = v; }},
       {"power_scale", "multiplier on every die's power densities (workload knob)",
-       nullptr, /*thermal_structural=*/false, apply_power_scale},
+       nullptr, apply_power_scale},
       {"vrm_count_x", "VRM tap columns over the die",
        [](core::SystemConfig& c, double v) {
          c.vrm_spec.count_x = whole_number_param("vrm_count_x", v);
@@ -250,23 +248,20 @@ const std::vector<ParameterInfo>& parameter_registry() {
       // reads neither), so they are flagged mission_thermal_invariant and
       // scenarios differing only here share one recorded trajectory.
       {"tank_ml", "electrolyte tank volume per side (mL; mission evaluator)", nullptr,
-       /*thermal_structural=*/false, nullptr, /*mission_thermal_invariant=*/true},
+       nullptr, /*mission_thermal_invariant=*/true},
       {"mission_dt_s", "nominal mission transient step (s; mission evaluator)", nullptr},
       {"initial_soc", "mission starting state of charge (mission evaluator)", nullptr,
-       /*thermal_structural=*/false, nullptr, /*mission_thermal_invariant=*/true},
+       nullptr, /*mission_thermal_invariant=*/true},
       {"workload_kind",
        "mission workload trace: 0=full-load, 1=idle/burst/sustain, 2=memory-bound "
        "(mission evaluator)",
        nullptr},
       {"workload_repeats", "repeats of the mission workload trace (mission evaluator)",
        nullptr},
-      // Thermal-structural so rom and full rows never share a per-worker
-      // cache slot (the reduced model's solve history lives with the
-      // engine, but the cache key must still separate the two backends).
       {"transient",
        "thermal stepping backend: 0 = full grid solve, 1 = certified reduced-order "
        "(mission evaluator)",
-       nullptr, /*thermal_structural=*/true},
+       nullptr},
       // Evaluator-consumed fleet parameters: a RackSpec wraps N SystemConfigs
       // (fleet/rack.h), so the rack knobs have no single-chip field; the
       // fleet evaluators read them off the scenario directly.

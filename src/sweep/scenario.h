@@ -53,13 +53,6 @@ struct ParameterInfo {
   std::string name;
   std::string description;
   std::function<void(core::SystemConfig&, double)> apply;
-  /// True when the parameter changes the *structure* of the assembled
-  /// thermal operator (grid, stack, die outline) rather than an
-  /// operating-point coefficient. The sweep's per-worker structure cache
-  /// (sweep/system_cache.h) keys on exactly these overrides, so a
-  /// parameter that grows a thermal-structural effect must set this flag —
-  /// the cache cross-checks the invariants it can and throws on a miss.
-  bool thermal_structural = false;
   /// For parameters whose effect depends on sibling overrides (the 3D
   /// stack knobs: a rebuilt stack must honor every stack override of the
   /// scenario, not just the one being applied): receives the full

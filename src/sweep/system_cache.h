@@ -2,22 +2,23 @@
 // scenarios of a sweep. Scenarios that differ only in operating-point
 // parameters (flow, inlet temperature, power density, VRM electrical
 // settings) share one assembled ThermalModel — grid build plus operator
-// sparsity pattern — keyed by the scenario's thermal-structural overrides
-// (ParameterInfo::thermal_structural).
+// sparsity pattern — keyed by the model's own inputs
+// (core::thermal_model_matches).
 //
 // The solved cache rail is reused the same way, keyed by the rail's own
 // inputs (core::CacheRail::matches): scenarios that vary only the coolant
 // share one rail solve.
 //
-// Result rows are byte-identical with and without reuse (sweep_test proves
-// it): a shared model or rail is bitwise the one the scenario would have
-// built itself, and IntegratedMpsocSystem::run() carries no state across
-// runs.
+// Result rows are byte-identical to those of a fresh worker (sweep_test
+// proves it): a shared model or rail is bitwise the one the scenario would
+// have built itself, and IntegratedMpsocSystem::run() carries no state
+// across runs.
 #ifndef BRIGHTSI_SWEEP_SYSTEM_CACHE_H
 #define BRIGHTSI_SWEEP_SYSTEM_CACHE_H
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/cosim.h"
@@ -33,21 +34,17 @@ namespace brightsi::sweep {
 /// fastest), so one slot already captures nearly all reuse.
 class ThermalModelCache {
  public:
-  explicit ThermalModelCache(bool enabled = true) : enabled_(enabled) {}
-
-  /// The assembled thermal model for `config`: the cached one when the
-  /// scenario's thermal-structural fingerprint matches the previous call's,
-  /// otherwise a fresh build (which replaces the cache slot). With caching
-  /// disabled every call builds fresh.
+  /// The assembled thermal model for `config`: the cached one when it
+  /// matches (core::thermal_model_matches), otherwise a fresh build (which
+  /// replaces the cache slot). The scenario is not read: the resolved
+  /// config holds every model input.
   [[nodiscard]] std::shared_ptr<const thermal::ThermalModel> model_for(
-      const core::SystemConfig& config, const ScenarioSpec& scenario);
+      const core::SystemConfig& config, const ScenarioSpec& /*scenario*/);
 
   /// Models built so far — lets tests assert reuse actually happened.
   [[nodiscard]] int build_count() const { return build_count_; }
 
  private:
-  bool enabled_;
-  std::string fingerprint_;
   std::shared_ptr<const thermal::ThermalModel> model_;
   int build_count_ = 0;
 };
@@ -57,18 +54,15 @@ class ThermalModelCache {
 /// keep the rail's inputs fixed over whole runs of adjacent scenarios.
 class RailCache {
  public:
-  explicit RailCache(bool enabled = true) : enabled_(enabled) {}
-
   /// The solved rail for `config`: the cached one when it matches
   /// (core::CacheRail::matches), otherwise a fresh solve (which replaces
-  /// the cache slot). With caching disabled every call solves fresh.
+  /// the cache slot).
   [[nodiscard]] std::shared_ptr<const core::CacheRail> rail_for(const core::SystemConfig& config);
 
   /// Rails solved so far — lets tests assert reuse actually happened.
   [[nodiscard]] int solve_count() const { return solve_count_; }
 
  private:
-  bool enabled_;
   std::shared_ptr<const core::CacheRail> rail_;
   int solve_count_ = 0;
 };
@@ -82,42 +76,45 @@ class RailCache {
 ///
 /// Single-threaded, one instance per worker. A full map rather than a
 /// depth-1 slot: mission plans put the electrochemical axis outermost, so
-/// scenarios sharing a trajectory are far apart in plan order. Valid only
-/// while the worker evaluates against one base config — the runner
-/// guarantees that (fresh workers per SweepRunner::run; one study's base
-/// per optimization run).
+/// scenarios sharing a trajectory are far apart in plan order. The key
+/// holds overrides only, so the entries are valid for one base config:
+/// WorkerState::serve clears them when the worker's base changes.
 class MissionTrajectoryCache {
  public:
-  explicit MissionTrajectoryCache(bool enabled = true) : enabled_(enabled) {}
-
-  /// The recorded trajectory for `key`, or nullptr when absent (or the
-  /// cache is disabled). A hit is counted — lets tests assert replays
-  /// actually happened.
+  /// The recorded trajectory for `key`, or nullptr when absent. A hit is
+  /// counted — lets tests assert replays actually happened.
   [[nodiscard]] const core::MissionThermalTrajectory* find(const std::string& key);
 
-  /// Stores a recorded trajectory (no-op when disabled).
+  /// Stores a recorded trajectory.
   void insert(const std::string& key, core::MissionThermalTrajectory trajectory);
+
+  /// Drops every recorded trajectory; the hit count stays.
+  void clear() { trajectories_.clear(); }
 
   [[nodiscard]] int hit_count() const { return hit_count_; }
   [[nodiscard]] std::size_t size() const { return trajectories_.size(); }
 
  private:
-  bool enabled_;
   std::map<std::string, core::MissionThermalTrajectory> trajectories_;
   int hit_count_ = 0;
 };
 
-/// Mutable per-worker state handed to every evaluator invocation of one
-/// sweep run. Owned by the runner; never shared between threads.
+/// Mutable per-worker state handed to every evaluator invocation. Owned by
+/// an execution backend, which may keep it across runs and bases; never
+/// shared between threads.
 struct WorkerState {
-  explicit WorkerState(bool reuse_structures = true)
-      : thermal_models(reuse_structures),
-        rails(reuse_structures),
-        mission_trajectories(reuse_structures) {}
-
   ThermalModelCache thermal_models;
   RailCache rails;
   MissionTrajectoryCache mission_trajectories;
+
+  /// Points the worker at the base config of its next scenario
+  /// (evaluate_scenario calls it per row). A base unequal to the last one
+  /// clears the recorded trajectories; the model and rail caches key on
+  /// the resolved config and need nothing.
+  void serve(const core::SystemConfig& base);
+
+ private:
+  std::optional<core::SystemConfig> base_;
 };
 
 }  // namespace brightsi::sweep

@@ -1,7 +1,7 @@
-# Byte-identity contracts of the sweep CLIs, one case per ctest test:
+# Contracts of the sweep and optimizer CLIs, one case per ctest test:
 #
 #   cmake -DCASE=<case> -DSWEEP=<brightsi_sweep> -DMERGE=<brightsi_merge>
-#         -DWORK_DIR=<dir> -P tests/cli_contracts.cmake
+#         -DOPT=<brightsi_opt> -DWORK_DIR=<dir> -P tests/cli_contracts.cmake
 #
 # Cases:
 #   rom_threads, stack_3d_threads, fleet_rack_threads
@@ -11,13 +11,17 @@
 #       filling one store merge to the CSV of a direct run;
 #   kill_resume
 #       a run stopped after 3 fresh rows (--limit 3), then resumed on the
-#       same store, writes the CSV of a direct run.
+#       same store, writes the CSV of a direct run;
+#   opt_store_cache_hits
+#       flow_rate at budget 6, then at budget 12 on the same store: the
+#       second run reuses 6 stored rows, evaluates 6 and counts 5 thermal
+#       cache hits (stored rows are no hits).
 #
 # WORK_DIR is emptied first: a store left by an earlier run would turn
 # kill-and-resume into a pure store read.
 cmake_minimum_required(VERSION 3.24)
 
-foreach(var IN ITEMS CASE SWEEP MERGE WORK_DIR)
+foreach(var IN ITEMS CASE SWEEP MERGE OPT WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_contracts.cmake needs -D${var}=...")
   endif()
@@ -88,6 +92,15 @@ elseif(CASE STREQUAL "kill_resume")
   run(COMMAND "${SWEEP}" operating_grid --store killed.store --threads 4
               --csv resumed.csv --quiet)
   expect_identical(direct.csv resumed.csv)
+elseif(CASE STREQUAL "opt_store_cache_hits")
+  run(COMMAND "${OPT}" flow_rate --budget 6 --threads 1 --store opt.store --quiet)
+  execute_process(COMMAND "${OPT}" flow_rate --budget 12 --threads 1 --store opt.store
+                  WORKING_DIRECTORY "${WORK_DIR}" OUTPUT_VARIABLE out RESULT_VARIABLE result)
+  if(NOT result EQUAL 0 OR NOT out MATCHES "1 thermal builds, 5 cache hits"
+     OR NOT out MATCHES "store: 6 reused, 6 evaluated")
+    message(FATAL_ERROR "resumed flow_rate ended with '${result}'; expected 6 reused, "
+                        "6 evaluated and 1 thermal builds, 5 cache hits:\n${out}")
+  endif()
 else()
   message(FATAL_ERROR "unknown case '${CASE}'")
 endif()

@@ -401,7 +401,7 @@ TEST(FleetSweep, ShardedRunsMergeByteIdenticalAtShardCounts123) {
       options.scope = plan.name;
       options.shard_index = index;
       options.shard_count = shard_count;
-      options.local = {2, true};
+      options.local = {2};
       const sw::SweepResult partial = sw::SweepRunner(sw::make_shard_backend(options)).run(plan);
       evaluated += partial.exec.evaluated;
     }
@@ -421,7 +421,7 @@ TEST(FleetSweep, KillAndResumeReproducesTheUninterruptedRun) {
   limited.store_dir = dir;
   limited.scope = plan.name;
   limited.row_limit = 2;
-  limited.local = {2, true};
+  limited.local = {2};
   const sw::SweepResult killed = sw::SweepRunner(sw::make_shard_backend(limited)).run(plan);
   EXPECT_EQ(killed.exec.evaluated, 2);
   EXPECT_EQ(killed.exec.pending, 4);

@@ -71,7 +71,7 @@ std::shared_ptr<sw::ExecutionBackend> store_backend(const op::Study& study,
   sw::ShardOptions shard;
   shard.store_dir = dir;
   shard.scope = study.name;
-  shard.local = {threads, true};
+  shard.local = {threads};
   return sw::make_shard_backend(std::move(shard));
 }
 

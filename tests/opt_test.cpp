@@ -218,7 +218,7 @@ TEST(Pareto, ExtractsTheNonDominatedSet) {
 // --------------------------------------------------------- local backend
 TEST(LocalBackend, PersistsWorkerCachesAcrossGenerations) {
   const op::Study study = op::make_registered_study("channel_geometry");
-  const auto backend = sw::make_local_backend({1, true});
+  const auto backend = sw::make_local_backend({1});
 
   std::vector<sw::ScenarioSpec> generation;
   for (const double flow : {100.0, 400.0, 900.0}) {
@@ -289,7 +289,7 @@ TEST(Optimizer, WidenedBudgetResumesThroughTheStore) {
     sw::ShardOptions shard;
     shard.store_dir = dir.string();
     shard.scope = study.name;
-    shard.local = {2, true};
+    shard.local = {2};
     return std::shared_ptr<sw::ExecutionBackend>(sw::make_shard_backend(std::move(shard)));
   };
 

@@ -541,7 +541,7 @@ TEST(ExecutionBackend, ShardedRunsMergeByteIdenticalAtAnyShardAndThreadCount) {
         options.scope = plan.name;
         options.shard_index = index;
         options.shard_count = shard_count;
-        options.local = {threads, true};
+        options.local = {threads};
         const sw::SweepRunner runner(sw::make_shard_backend(options));
         const sw::SweepResult partial = runner.run(plan);
         EXPECT_EQ(partial.backend, "shard");
@@ -570,7 +570,7 @@ TEST(ExecutionBackend, SequentialShardsStealNothingButFinishEverything) {
   one.scope = plan.name;
   one.shard_index = 1;
   one.shard_count = 2;
-  one.local = {2, true};
+  one.local = {2};
   const sw::SweepResult first = sw::SweepRunner(sw::make_shard_backend(one)).run(plan);
   EXPECT_GT(first.exec.pending, 0);
   EXPECT_GT(first.failure_count(), 0);  // pending rows read as failed rows
@@ -599,7 +599,7 @@ TEST(ExecutionBackend, KillAndResumeReproducesTheUninterruptedRun) {
   limited.store_dir = dir;
   limited.scope = plan.name;
   limited.row_limit = 3;
-  limited.local = {2, true};
+  limited.local = {2};
   const sw::SweepResult killed = sw::SweepRunner(sw::make_shard_backend(limited)).run(plan);
   EXPECT_EQ(killed.exec.evaluated, 3);
   EXPECT_EQ(killed.exec.pending, 5);
@@ -623,7 +623,7 @@ TEST(ExecutionBackend, WarmStoreSkipsEveryEvaluation) {
   sw::ShardOptions options;
   options.store_dir = dir;
   options.scope = plan.name;
-  options.local = {2, true};
+  options.local = {2};
   (void)sw::SweepRunner(sw::make_shard_backend(options)).run(plan);
 
   const sw::SweepResult warm = sw::SweepRunner(sw::make_shard_backend(options)).run(plan);
@@ -638,7 +638,7 @@ TEST(ExecutionBackend, StoreRefusesAForeignPlan) {
   sw::ShardOptions options;
   options.store_dir = dir;
   options.scope = plan.name;
-  options.local = {1, true};
+  options.local = {1};
   (void)sw::SweepRunner(sw::make_shard_backend(options)).run(plan);
 
   // Same directory, different plan: the scope check must fire (on the

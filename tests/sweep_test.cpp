@@ -12,6 +12,7 @@
 #include "flowcell/cell_array.h"
 #include "hydraulics/pump.h"
 #include "sweep/evaluators.h"
+#include "sweep/execution.h"
 #include "sweep/registry.h"
 #include "sweep/runner.h"
 #include "sweep/system_cache.h"
@@ -33,6 +34,21 @@ std::string json_of(const sw::SweepResult& result) {
   std::stringstream stream;
   sw::write_sweep_json(stream, result);
   return stream.str();
+}
+
+/// The uncached reference of a plan: every scenario on a fresh worker, so
+/// no model, rail or trajectory is shared between rows.
+sw::SweepResult fresh_worker_run(const sw::SweepPlan& plan) {
+  sw::SweepResult result;
+  result.plan_name = plan.name;
+  result.evaluator_name = plan.evaluator.name;
+  result.metric_names = plan.evaluator.metrics;
+  result.override_names = sw::collect_override_names(plan);
+  for (const sw::ScenarioSpec& scenario : plan.scenarios) {
+    sw::WorkerState fresh;
+    result.rows.push_back(sw::evaluate_scenario(plan.base, plan.evaluator, scenario, fresh));
+  }
+  return result;
 }
 
 /// A fast 2x2 co-simulation grid (coarse thermal axis keeps it quick).
@@ -303,12 +319,19 @@ TEST(ScenarioSpec, StackParametersRebuildTheMultiDieStack) {
        fine.stack.channel_layers()) {
     EXPECT_DOUBLE_EQ(channel->layer_height_m, 800e-6);
   }
-  // All four stack parameters key the worker structure cache.
-  for (const char* name :
-       {"die_count", "interlayer", "stack_layers", "stack_channel_height_um"}) {
-    const sw::ParameterInfo* info = sw::find_parameter(name);
-    ASSERT_NE(info, nullptr) << name;
-    EXPECT_TRUE(info->thermal_structural) << name;
+  // Each of the four stack parameters alone changes the two-die model: the
+  // worker's structure cache builds a second one.
+  const co::SystemConfig two_die = co::two_die_system_config();
+  for (const auto& [name, value] :
+       {std::pair{"die_count", 3.0}, std::pair{"interlayer", 0.0},
+        std::pair{"stack_layers", 5.0}, std::pair{"stack_channel_height_um", 800.0}}) {
+    sw::ThermalModelCache cache;
+    const auto primed = cache.model_for(two_die, sw::ScenarioSpec{});
+    sw::ScenarioSpec changed;
+    changed.set(name, value);
+    EXPECT_NE(cache.model_for(sw::apply_scenario(two_die, changed), changed).get(), primed.get())
+        << name;
+    EXPECT_EQ(cache.build_count(), 2) << name;
   }
 }
 
@@ -420,12 +443,24 @@ TEST(SweepCache, ThermalModelReusedAcrossOperatingPoints) {
   EXPECT_NE(first.get(), third.get());  // structural change: rebuild
   EXPECT_EQ(third->ny(), 6);
   EXPECT_EQ(cache.build_count(), 2);
+}
 
-  sw::ThermalModelCache disabled(false);
-  const auto a = disabled.model_for(sw::apply_scenario(base, fast_flow), fast_flow);
-  const auto b = disabled.model_for(sw::apply_scenario(base, fast_flow), fast_flow);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(disabled.build_count(), 2);
+TEST(SweepCache, ThermalModelKeyedOnItsInputsNotTheOverrides) {
+  // Overrides that leave the model's inputs as they are hit the cached
+  // model: restating the base's axial cells, and the transient backend
+  // switch, which no model reads.
+  const co::SystemConfig base = co::power7_system_config();
+  sw::ThermalModelCache cache;
+  sw::ScenarioSpec plain;
+  sw::ScenarioSpec restated;
+  restated.set("axial_cells", static_cast<double>(base.thermal_grid.axial_cells));
+  sw::ScenarioSpec rom;
+  rom.set("transient", 1.0);
+
+  const auto first = cache.model_for(sw::apply_scenario(base, plain), plain);
+  EXPECT_EQ(cache.model_for(sw::apply_scenario(base, restated), restated).get(), first.get());
+  EXPECT_EQ(cache.model_for(sw::apply_scenario(base, rom), rom).get(), first.get());
+  EXPECT_EQ(cache.build_count(), 1);
 }
 
 TEST(SweepCache, RailReusedAcrossOperatingPoints) {
@@ -457,29 +492,21 @@ TEST(SweepCache, RailReusedAcrossOperatingPoints) {
     EXPECT_EQ(primed.solve_count(), 2) << param;
     EXPECT_FALSE(changed->matches(base)) << param;
   }
-
-  sw::RailCache disabled(false);
-  const auto a = rail_for(disabled, "flow_ml_min", 676.0);
-  const auto b = rail_for(disabled, "flow_ml_min", 676.0);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(disabled.solve_count(), 2);
 }
 
 TEST(SweepCache, OperatingGridSolvesTheRailOncePerWorker) {
   // operating_grid varies only the coolant, which never reaches the rail:
-  // one worker solves it once with reuse on, and once per row without.
+  // one worker solves it once for all nine rows.
   const sw::SweepPlan plan = sw::make_registered_plan("operating_grid");
   ASSERT_EQ(plan.scenarios.size(), 9u);
-  const sw::SweepResult reused = sw::SweepRunner({1, true}).run(plan);
-  const sw::SweepResult fresh = sw::SweepRunner({1, false}).run(plan);
+  const sw::SweepResult reused = sw::SweepRunner({1}).run(plan);
   ASSERT_EQ(reused.failure_count(), 0);
   EXPECT_EQ(reused.exec.rail_solves, 1);
-  EXPECT_EQ(fresh.exec.rail_solves, 9);
 }
 
 TEST(SweepCache, CachedAndUncachedRowsByteIdenticalAtAnyThreadCount) {
   // The acceptance bar of the structure cache: rows must be byte-identical
-  // with reuse on and off, serial and parallel. The plan mixes structural
+  // to fresh-worker rows, serial and parallel. The plan mixes structural
   // (axial_cells), rail (vrm_grid_n) and operating-point (flow, inlet)
   // axes so cache hits, rebuilds and rail re-solves occur mid-sweep.
   sw::SweepPlan plan;
@@ -493,19 +520,33 @@ TEST(SweepCache, CachedAndUncachedRowsByteIdenticalAtAnyThreadCount) {
                  {"inlet_c", {27.0, 37.0}}});
   ASSERT_EQ(plan.scenarios.size(), 16u);
 
-  sw::SweepOptions cached_serial{1, true};
-  sw::SweepOptions uncached_serial{1, false};
-  sw::SweepOptions cached_parallel{4, true};
-  sw::SweepOptions uncached_parallel{4, false};
-
-  const std::string reference = csv_of(sw::SweepRunner(uncached_serial).run(plan));
-  EXPECT_EQ(csv_of(sw::SweepRunner(cached_serial).run(plan)), reference);
-  EXPECT_EQ(csv_of(sw::SweepRunner(cached_parallel).run(plan)), reference);
-  EXPECT_EQ(csv_of(sw::SweepRunner(uncached_parallel).run(plan)), reference);
-
-  const sw::SweepResult cached = sw::SweepRunner(cached_serial).run(plan);
+  const sw::SweepResult uncached = fresh_worker_run(plan);
+  const sw::SweepResult cached = sw::SweepRunner({1}).run(plan);
   EXPECT_EQ(cached.failure_count(), 0);
-  EXPECT_EQ(json_of(cached), json_of(sw::SweepRunner(uncached_serial).run(plan)));
+  EXPECT_EQ(csv_of(cached), csv_of(uncached));
+  EXPECT_EQ(json_of(cached), json_of(uncached));
+  EXPECT_EQ(csv_of(sw::SweepRunner({4}).run(plan)), csv_of(uncached));
+}
+
+TEST(SweepCache, PersistentBackendServesADifferentStackOnTheNextBase) {
+  // A backend keeps its workers across run() calls. A two-die base after a
+  // single-die one, with the same overrides, must build the two-die model.
+  auto stack_plan = [](const co::SystemConfig& base) {
+    sw::SweepPlan plan;
+    plan.name = "stack_probe";
+    plan.base = base;
+    plan.base.thermal_grid.axial_cells = 4;
+    plan.evaluator = sw::stack_evaluator();
+    plan.add_grid({{"flow_ml_min", {200.0, 676.0}}});
+    return plan;
+  };
+  const sw::SweepRunner persistent(sw::make_local_backend({1}));
+  ASSERT_EQ(persistent.run(stack_plan(co::power7_system_config())).failure_count(), 0);
+  const sw::SweepPlan two_die = stack_plan(co::two_die_system_config());
+  const sw::SweepResult second = persistent.run(two_die);
+  EXPECT_EQ(second.failure_count(), 0);
+  EXPECT_EQ(csv_of(second), csv_of(fresh_worker_run(two_die)));
+  EXPECT_EQ(second.exec.model_builds, 2);
 }
 
 TEST(SweepMission, EnduranceRowsByteIdenticalAcrossThreadCounts) {
@@ -568,7 +609,7 @@ TEST(SweepMission, EvaluatorReusesTheWorkerThermalModel) {
 }
 
 TEST(SweepCache, MissionTrajectoryCacheBasics) {
-  sw::MissionTrajectoryCache cache(true);
+  sw::MissionTrajectoryCache cache;
   EXPECT_EQ(cache.find("k"), nullptr);
   EXPECT_EQ(cache.hit_count(), 0);
 
@@ -581,12 +622,40 @@ TEST(SweepCache, MissionTrajectoryCacheBasics) {
   EXPECT_EQ(cache.find("other"), nullptr);
   EXPECT_EQ(cache.size(), 1u);
 
-  // Disabled (--no-reuse): inserts are dropped, lookups always miss.
-  sw::MissionTrajectoryCache disabled(false);
-  disabled.insert("k", trajectory);
-  EXPECT_EQ(disabled.find("k"), nullptr);
-  EXPECT_EQ(disabled.size(), 0u);
-  EXPECT_EQ(disabled.hit_count(), 0);
+  cache.clear();  // what a new base does: the entries go, the hits stay
+  EXPECT_EQ(cache.find("k"), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hit_count(), 2);
+}
+
+TEST(SweepMission, PersistentBackendRecordsTrajectoriesPerBase) {
+  // The trajectory key holds overrides only, and a backend keeps its
+  // workers across run() calls: the same mission on a hotter base must not
+  // replay the cooler base's trajectory.
+  auto mission_at = [](double inlet_k) {
+    sw::SweepPlan plan;
+    plan.name = "mission_probe";
+    plan.base = co::power7_system_config();
+    plan.base.thermal_grid.axial_cells = 4;
+    plan.base.array_spec.inlet_temperature_k = inlet_k;
+    plan.evaluator = sw::mission_evaluator();
+    sw::ScenarioSpec scenario;
+    scenario.name = "probe";
+    scenario.set("tank_ml", 2.0);
+    scenario.set("workload_kind", 0.0);
+    scenario.set("mission_dt_s", 0.5);
+    plan.add(scenario);
+    return plan;
+  };
+  const sw::SweepRunner persistent(sw::make_local_backend({1}));
+  const sw::SweepResult cool = persistent.run(mission_at(300.0));
+  const sw::SweepPlan hot_plan = mission_at(320.0);
+  const sw::SweepResult hot = persistent.run(hot_plan);
+  ASSERT_EQ(hot.failure_count(), 0);
+  EXPECT_EQ(hot.exec.trajectory_hits, 0);
+  EXPECT_EQ(csv_of(hot), csv_of(fresh_worker_run(hot_plan)));
+  // metrics: {steps, final_soc, soc_drop, energy_j, max_peak_c, ...}
+  EXPECT_GT(hot.rows[0].metrics[4], cool.rows[0].metrics[4] + 10.0);
 }
 
 TEST(SweepMission, TrajectorySharedAcrossTankSizes) {
@@ -625,9 +694,9 @@ TEST(SweepMission, TrajectoryReplayedRowsByteIdenticalWithAndWithoutReuse) {
   trimmed.scenarios = {plan.scenarios[0], plan.scenarios[1], plan.scenarios[8],
                        plan.scenarios[9]};
 
-  const std::string reference = csv_of(sw::SweepRunner({1, false}).run(trimmed));
-  EXPECT_EQ(csv_of(sw::SweepRunner({1, true}).run(trimmed)), reference);
-  EXPECT_EQ(csv_of(sw::SweepRunner({4, true}).run(trimmed)), reference);
+  const std::string reference = csv_of(fresh_worker_run(trimmed));
+  EXPECT_EQ(csv_of(sw::SweepRunner({1}).run(trimmed)), reference);
+  EXPECT_EQ(csv_of(sw::SweepRunner({4}).run(trimmed)), reference);
 }
 
 TEST(SweepCsv, QuotesCellsWithCommas) {

@@ -17,7 +17,6 @@
 //   --screen-factor K nsga2 offspring proposed per real evaluation slot
 //                     (default 3; 1 disables the surrogate screen)
 //   --seed S          nsga2 RNG seed, unsigned 64-bit (fixed default)
-//   --no-reuse        rebuild thermal structures and cache rails per candidate
 //   --maximize M[*W]  replace the study's objective *terms*: maximize M
 //   --minimize M[*W]  ... or minimize it (repeatable; weights optional).
 //                     The study's built-in hard constraints and Pareto
@@ -28,8 +27,6 @@
 //   --pareto FILE     Pareto-front rows (sweep row format)
 //   --json FILE       study metadata + best + front + archive as JSON
 //   --quiet           suppress the result tables on stdout
-//   --transient B     thermal stepping backend for mission studies:
-//                     full (default) or rom (certified reduced-order)
 //   --store DIR       content-addressed result store (sweep/execution.h):
 //                     candidates evaluated by a previous run of the same
 //                     study are reused, fresh ones appended — a re-run
@@ -59,10 +56,9 @@ int usage(const char* argv0, int exit_code) {
                "usage: %s --list\n"
                "       %s <study> [--algo grid|nsga2] [--budget N] [--threads N]\n"
                "           [--axis-points K] [--no-polish] [--population N]\n"
-               "           [--screen-factor K] [--seed S] [--no-reuse]\n"
+               "           [--screen-factor K] [--seed S] [--store DIR]\n"
                "           [--maximize M[*W]] [--minimize M[*W]] [--cap M=V] [--floor M=V]\n"
-               "           [--csv FILE] [--pareto FILE] [--json FILE] [--quiet]\n"
-               "           [--transient full|rom] [--store DIR]\n",
+               "           [--csv FILE] [--pareto FILE] [--json FILE] [--quiet]\n",
                argv0, argv0);
   return exit_code;
 }
@@ -100,9 +96,10 @@ void print_result(const op::OptResult& result) {
   }
   if (const int builds = result.archive.exec.model_builds; builds > 0) {
     // Only meaningful for evaluators that go through the thermal-model
-    // structure cache; the rail evaluator, for example, never does.
+    // structure cache; the rail evaluator, for example, never does. Rows
+    // filled from a result store were not evaluated, so they are no hits.
     std::printf("; %d thermal builds, %lld cache hits, %d rail solves", builds,
-                result.evaluations() - builds, result.archive.exec.rail_solves);
+                result.archive.exec.evaluated - builds, result.archive.exec.rail_solves);
   }
   std::printf("\n");
 
@@ -152,7 +149,6 @@ int main(int argc, char** argv) {
     std::string pareto_path;
     std::string json_path;
     bool quiet = false;
-    std::string transient_name;
     std::string store_dir;
     std::vector<op::ObjectiveTerm> term_overrides;
     std::vector<op::MetricConstraint> extra_constraints;
@@ -180,8 +176,6 @@ int main(int argc, char** argv) {
         grid.axis_points = next_int(2);
       } else if (arg == "--no-polish") {
         grid.nelder_mead = false;
-      } else if (arg == "--no-reuse") {
-        search.reuse_structures = false;
       } else if (arg == "--maximize") {
         term_overrides.push_back(op::parse_objective_term(next(), 1.0));
       } else if (arg == "--minimize") {
@@ -198,9 +192,6 @@ int main(int argc, char** argv) {
         json_path = next();
       } else if (arg == "--quiet") {
         quiet = true;
-      } else if (arg == "--transient") {
-        transient_name =
-            brightsi::tools::next_choice_arg(argc, argv, i, arg, {"full", "rom"});
       } else if (arg == "--store") {
         store_dir = next();
       } else {
@@ -211,11 +202,6 @@ int main(int argc, char** argv) {
     }
 
     op::Study study = op::make_registered_study(command);
-    if (transient_name == "rom") {
-      // Candidate names derive from searched parameters only, so the fixed
-      // backend override keeps archive rows comparable against a full run.
-      study.fixed.emplace_back("transient", 1.0);
-    }
     if (!term_overrides.empty()) {
       study.objective.terms = term_overrides;
     }
@@ -226,7 +212,7 @@ int main(int argc, char** argv) {
       sw::ShardOptions shard;
       shard.store_dir = store_dir;
       shard.scope = study.name;
-      shard.local = {search.thread_count, search.reuse_structures};
+      shard.local = {search.thread_count};
       search.backend = sw::make_shard_backend(std::move(shard));
     }
     op::OptResult result;

@@ -14,8 +14,6 @@
 //   --json FILE     write result records as JSON
 //   --timing FILE   write per-scenario wall time
 //   --quiet         suppress the result table on stdout
-//   --no-reuse      rebuild every model from scratch per scenario (results
-//                   are byte-identical with or without reuse)
 //
 // Distributed execution (the shard backend, sweep/execution.h):
 //   --store DIR     content-addressed result store; rows already stored
@@ -58,7 +56,7 @@ int usage(const char* argv0, int exit_code) {
   std::fprintf(exit_code == 0 ? stdout : stderr,
                "usage: %s --list | --params\n"
                "       %s <plan> [--threads N] [--csv FILE] [--json FILE]"
-               " [--timing FILE] [--quiet] [--no-reuse]"
+               " [--timing FILE] [--quiet]"
                " [--transient full|rom] [--store DIR [--shard I/N] [--limit N]"
                " [--lease-timeout S]]\n"
                "       %s custom --evaluator %s (--grid p=v1,v2,... | --set p=v)..."
@@ -194,8 +192,6 @@ int main(int argc, char** argv) {
         timing_path = next();
       } else if (arg == "--quiet") {
         quiet = true;
-      } else if (arg == "--no-reuse") {
-        options.reuse_structures = false;
       } else if (arg == "--evaluator") {
         evaluator_name = next();
       } else if (arg == "--transient") {
