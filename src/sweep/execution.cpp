@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 
@@ -244,6 +245,15 @@ ScenarioResult evaluate_scenario(const core::SystemConfig& base,
     if (row.metrics.size() != evaluator.metrics.size()) {
       throw std::logic_error("evaluator '" + evaluator.name +
                              "' returned a mismatched metric count");
+    }
+    // A NaN or an infinity would reach the CSV as text and the JSON as a
+    // bare token no reader accepts; the row fails instead, naming it.
+    for (std::size_t m = 0; m < row.metrics.size(); ++m) {
+      if (!std::isfinite(row.metrics[m])) {
+        throw std::runtime_error("evaluator '" + evaluator.name + "' returned " +
+                                 format_sweep_value(row.metrics[m]) + " for metric '" +
+                                 evaluator.metrics[m] + "'");
+      }
     }
   } catch (const std::exception& e) {
     row.failed = true;

@@ -239,4 +239,12 @@ SweepPlan make_registered_plan(const std::string& name) {
                               ")");
 }
 
+void stamp_rom_transient(SweepPlan& plan) {
+  for (ScenarioSpec& scenario : plan.scenarios) {
+    if (!scenario.get("transient")) {
+      scenario.set("transient", 1.0);
+    }
+  }
+}
+
 }  // namespace brightsi::sweep

@@ -28,6 +28,12 @@ struct PlanDescription {
 /// std::invalid_argument listing the registered names on an unknown name.
 [[nodiscard]] SweepPlan make_registered_plan(const std::string& name);
 
+/// `--transient rom`: stamps transient=1 on every scenario that does not
+/// set `transient` itself (an explicit per-scenario value wins). The sweep
+/// and merge CLIs both call it, so a merge expands the scenarios to the
+/// store keys the sweep wrote.
+void stamp_rom_transient(SweepPlan& plan);
+
 }  // namespace brightsi::sweep
 
 #endif  // BRIGHTSI_SWEEP_REGISTRY_H

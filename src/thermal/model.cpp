@@ -104,9 +104,14 @@ void ThermalModel::build_grid() {
   // --- y discretization ---
   ny_ = settings_.axial_cells;
   dy_ = die_height_m_ / ny_;
+  y_edges_.resize(static_cast<std::size_t>(ny_) + 1);
+  for (int i = 0; i <= ny_; ++i) {
+    y_edges_[static_cast<std::size_t>(i)] = die_height_m_ * i / ny_;
+  }
 
   // --- z discretization ---
   z_slices_.clear();
+  die_source_iz_.clear();
   int die_index = 0;
   int channel_index = 0;
   for (const StackLayer& layer : stack_.layers) {
@@ -118,6 +123,9 @@ void ThermalModel::build_grid() {
         slice.channel_layer = -1;
         // Power enters the bottom cell of a heat-source layer.
         slice.die = (solid->has_heat_source && k == 0) ? die_index : -1;
+        if (slice.die >= 0) {
+          die_source_iz_.push_back(static_cast<int>(z_slices_.size()));
+        }
         z_slices_.push_back(slice);
       }
       die_index += std::get<SolidLayerSpec>(layer).has_heat_source ? 1 : 0;
@@ -192,14 +200,10 @@ void ThermalModel::fill_operator(std::span<const chip::Floorplan* const> floorpl
   }
 
   // Heat sources on the (non-uniform) column grid, one map per die.
-  std::vector<double> y_edges(static_cast<std::size_t>(ny_) + 1);
-  for (int i = 0; i <= ny_; ++i) {
-    y_edges[static_cast<std::size_t>(i)] = die_height_m_ * i / ny_;
-  }
   std::vector<numerics::Grid2<double>> power;
   power.reserve(floorplans.size());
   for (const chip::Floorplan* floorplan : floorplans) {
-    power.push_back(chip::rasterize_power_w_on_edges(*floorplan, x_edges_, y_edges));
+    power.push_back(chip::rasterize_power_w_on_edges(*floorplan, x_edges_, y_edges_));
   }
 
   auto stamp_pair = [&](std::size_t a, std::size_t b, double conductance) {
@@ -401,17 +405,10 @@ ThermalSolution ThermalModel::package_solution(
 
   // Per-die source-layer maps and block summaries. Dies above the bottom
   // one report blocks under a "die<k>:" prefix so rows stay unambiguous.
-  std::vector<int> source_iz(static_cast<std::size_t>(source_count_), 0);
-  for (int iz = 0; iz < nz_; ++iz) {
-    const int die = z_slices_[static_cast<std::size_t>(iz)].die;
-    if (die >= 0) {
-      source_iz[static_cast<std::size_t>(die)] = iz;
-    }
-  }
   out.die_maps_k.reserve(static_cast<std::size_t>(source_count_));
   out.total_power_w = 0.0;
   for (int die = 0; die < source_count_; ++die) {
-    const int iz = source_iz[static_cast<std::size_t>(die)];
+    const int iz = die_source_iz_[static_cast<std::size_t>(die)];
     numerics::Grid2<double> map(nx_, ny_, 0.0);
     for (int iy = 0; iy < ny_; ++iy) {
       for (int ix = 0; ix < nx_; ++ix) {
@@ -427,11 +424,34 @@ ThermalSolution ThermalModel::package_solution(
       double weighted = 0.0;
       double area = 0.0;
       bt.max_k = 0.0;
-      for (int iy = 0; iy < ny_; ++iy) {
-        for (int ix = 0; ix < nx_; ++ix) {
-          const chip::Rect cell{x_edges_[static_cast<std::size_t>(ix)], dy_ * iy,
-                                dx_[static_cast<std::size_t>(ix)], dy_};
-          const double overlap = cell.intersection_area(block.footprint);
+      // A cell overlaps the block exactly when its column's x-overlap w and
+      // its row's y-overlap h are both positive, and then
+      // Rect::intersection_area is w * h. So only the columns and rows
+      // around the footprint are visited, with one cell of slack on each
+      // side for rounding at its edges; the sums see the same terms in the
+      // same (iy, ix) order as a scan of every cell.
+      const chip::Rect& footprint = block.footprint;
+      const auto column_below = [&](double x) {  // last column starting below x
+        return static_cast<int>(std::lower_bound(x_edges_.begin(), x_edges_.end(), x) -
+                                x_edges_.begin()) - 1;
+      };
+      const int ix_begin = std::max(0, column_below(footprint.x) - 1);
+      const int ix_end = std::min(nx_, column_below(footprint.right()) + 2);
+      const int iy_begin =
+          std::clamp(static_cast<int>(std::floor(footprint.y / dy_)) - 1, 0, ny_);
+      const int iy_end =
+          std::clamp(static_cast<int>(std::ceil(footprint.top() / dy_)) + 1, 0, ny_);
+      for (int iy = iy_begin; iy < iy_end; ++iy) {
+        const double y = dy_ * iy;
+        const double h = std::min(y + dy_, footprint.top()) - std::max(y, footprint.y);
+        if (!(h > 0.0)) {
+          continue;
+        }
+        for (int ix = ix_begin; ix < ix_end; ++ix) {
+          const double x = x_edges_[static_cast<std::size_t>(ix)];
+          const double w = std::min(x + dx_[static_cast<std::size_t>(ix)], footprint.right()) -
+                           std::max(x, footprint.x);
+          const double overlap = w > 0.0 ? w * h : 0.0;
           if (overlap > 0.0) {
             weighted += map(ix, iy) * overlap;
             area += overlap;

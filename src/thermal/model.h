@@ -200,8 +200,9 @@ class ThermalModel {
  private:
   friend class ThermalSolveContext;
   // The reduced-order backend (thermal/rom.h) assembles the same operator
-  // through fill_operator and mirrors package_solution with cached block
-  // weights, so it shares the private grid internals.
+  // through fill_operator, rasterizes power on y_edges_ into the
+  // die_source_iz_ slices and packages its lifted fields through
+  // package_solution, so it shares the private grid internals.
   friend class ReducedThermalModel;
 
   struct ZSlice {
@@ -222,7 +223,9 @@ class ThermalModel {
   std::vector<double> x_edges_;        // nx+1
   std::vector<double> dx_;             // per column
   double dy_ = 0.0;
+  std::vector<double> y_edges_;        // ny+1, the power rasterization grid
   std::vector<ZSlice> z_slices_;       // nz entries
+  std::vector<int> die_source_iz_;     // per die: the z-slice its power enters
   std::vector<int> column_channel_;    // per column: channel index or -1 (wall)
   std::vector<MicrochannelLayerSpec> channel_specs_;  // bottom to top
 
@@ -258,6 +261,9 @@ class ThermalModel {
 
   void build_operator_pattern();
 
+  /// Turns a temperature field into the reported solution (peak, die maps,
+  /// block temperatures, channel outlets, energy balance): the one
+  /// packager of full solves, transient steps and reduced-order steps.
   [[nodiscard]] ThermalSolution package_solution(
       std::vector<double> temperatures, std::span<const chip::Floorplan* const> floorplans,
       const OperatingPoint& op, const std::vector<double>& layer_flows,

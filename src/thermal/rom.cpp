@@ -82,18 +82,6 @@ ReducedThermalModel::ReducedThermalModel(const ThermalModel& model,
   operating_point_.validate(model.stack().has_channels());
   layer_flows_ = model.layer_flow_split(operating_point_);
 
-  y_edges_.resize(static_cast<std::size_t>(model.ny()) + 1);
-  for (int i = 0; i <= model.ny(); ++i) {
-    y_edges_[static_cast<std::size_t>(i)] = model.die_height_m() * i / model.ny();
-  }
-  die_source_iz_.assign(static_cast<std::size_t>(model.die_count()), 0);
-  for (int iz = 0; iz < model.nz(); ++iz) {
-    const int die = model.z_slices_[static_cast<std::size_t>(iz)].die;
-    if (die >= 0) {
-      die_source_iz_[static_cast<std::size_t>(die)] = iz;
-    }
-  }
-
   // One zero-power steady assembly isolates (a) the state- and
   // power-independent RHS b_zero (inlet advection + ambient film) and (b)
   // the steady diagonal, which each DtModel subtracts from its own
@@ -260,7 +248,7 @@ void ReducedThermalModel::rasterize_power(
       continue;
     }
     power_[die] =
-        chip::rasterize_power_w_on_edges(*floorplan, model_->x_edges(), y_edges_);
+        chip::rasterize_power_w_on_edges(*floorplan, model_->x_edges(), model_->y_edges_);
     key.footprints.resize(blocks.size());
     key.densities.resize(blocks.size());
     for (std::size_t b = 0; b < blocks.size(); ++b) {
@@ -277,7 +265,7 @@ void ReducedThermalModel::assemble_rhs(const DtModel& dt_model,
   rhs = b_zero_;
   const std::size_t plane = static_cast<std::size_t>(model_->nx()) * model_->ny();
   for (std::size_t die = 0; die < power_.size(); ++die) {
-    const std::size_t base = static_cast<std::size_t>(die_source_iz_[die]) * plane;
+    const std::size_t base = static_cast<std::size_t>(model_->die_source_iz_[die]) * plane;
     const std::vector<double>& p = power_[die].data();
     for (std::size_t cell = 0; cell < plane; ++cell) {
       rhs[base + cell] += p[cell];
@@ -325,7 +313,7 @@ std::optional<ThermalSolution> ReducedThermalModel::try_step(
           dt_model->b_zero_reduced[static_cast<std::size_t>(j)];
     }
     for (std::size_t die = 0; die < power_.size(); ++die) {
-      const std::size_t base = static_cast<std::size_t>(die_source_iz_[die]) * plane;
+      const std::size_t base = static_cast<std::size_t>(model_->die_source_iz_[die]) * plane;
       const std::vector<double>& p = power_[die].data();
       for (std::size_t cell = 0; cell < plane; ++cell) {
         const double power = p[cell];
@@ -368,12 +356,13 @@ std::optional<ThermalSolution> ReducedThermalModel::try_step(
   dt_model->last_coefficients = coefficients_;
   dt_model->have_last = true;
 
-  double residual_linf = 0.0;
+  numerics::SolverReport report;
+  report.converged = true;
   for (const double r : residual_) {
-    residual_linf = std::max(residual_linf, std::abs(r));
+    report.residual_norm = std::max(report.residual_norm, std::abs(r));
   }
-  std::vector<double> temperatures = lifted_;
-  ThermalSolution solution = package(std::move(temperatures), floorplans, residual_linf);
+  ThermalSolution solution =
+      model_->package_solution(lifted_, floorplans, operating_point_, layer_flows_, report);
   stats_.step_time_s += seconds_since(start);
   return solution;
 }
@@ -405,7 +394,7 @@ void ReducedThermalModel::enrich(double dt_s,
   const std::size_t plane = static_cast<std::size_t>(model_->nx()) * model_->ny();
   bool any_power = false;
   for (std::size_t die = 0; die < power_.size(); ++die) {
-    const std::size_t base = static_cast<std::size_t>(die_source_iz_[die]) * plane;
+    const std::size_t base = static_cast<std::size_t>(model_->die_source_iz_[die]) * plane;
     const std::vector<double>& p = power_[die].data();
     for (std::size_t cell = 0; cell < plane; ++cell) {
       injection[base + cell] += p[cell];
@@ -445,189 +434,6 @@ void ReducedThermalModel::enrich(double dt_s,
   }
   stats_.basis_size = std::max(stats_.basis_size, dt_model.basis.size());
   stats_.build_time_s += seconds_since(start);
-}
-
-void ReducedThermalModel::refresh_block_weights(
-    std::span<const chip::Floorplan* const> floorplans) {
-  const ThermalModel& m = *model_;
-  bool fresh = cached_footprints_.size() == floorplans.size();
-  for (std::size_t die = 0; fresh && die < floorplans.size(); ++die) {
-    const std::vector<chip::Block>& blocks = floorplans[die]->blocks();
-    const std::vector<chip::Rect>& cached = cached_footprints_[die];
-    fresh = cached.size() == blocks.size();
-    for (std::size_t b = 0; fresh && b < blocks.size(); ++b) {
-      const chip::Rect& f = blocks[b].footprint;
-      fresh = cached[b].x == f.x && cached[b].y == f.y && cached[b].width == f.width &&
-              cached[b].height == f.height;
-    }
-  }
-  if (fresh) {
-    return;
-  }
-  block_weights_.assign(floorplans.size(), {});
-  cached_footprints_.assign(floorplans.size(), {});
-  for (std::size_t die = 0; die < floorplans.size(); ++die) {
-    const std::vector<chip::Block>& blocks = floorplans[die]->blocks();
-    block_weights_[die].resize(blocks.size());
-    cached_footprints_[die].reserve(blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      cached_footprints_[die].push_back(blocks[b].footprint);
-      BlockWeights& weights = block_weights_[die][b];
-      // Same traversal order as ThermalModel::package_solution, so the
-      // weighted mean accumulates in the identical sequence.
-      for (int iy = 0; iy < m.ny(); ++iy) {
-        for (int ix = 0; ix < m.nx(); ++ix) {
-          const chip::Rect cell{m.x_edges_[static_cast<std::size_t>(ix)], m.dy_ * iy,
-                                m.dx_[static_cast<std::size_t>(ix)], m.dy_};
-          const double overlap = cell.intersection_area(blocks[b].footprint);
-          if (overlap > 0.0) {
-            weights.cells.push_back(
-                {static_cast<std::size_t>(iy) * static_cast<std::size_t>(m.nx()) +
-                     static_cast<std::size_t>(ix),
-                 overlap});
-            weights.area += overlap;
-          }
-        }
-      }
-    }
-  }
-}
-
-ThermalSolution ReducedThermalModel::package(
-    std::vector<double> temperatures, std::span<const chip::Floorplan* const> floorplans,
-    double residual_linf_k) {
-  const ThermalModel& m = *model_;
-  const int nx = m.nx();
-  const int ny = m.ny();
-  const int nz = m.nz();
-  refresh_block_weights(floorplans);
-
-  ThermalSolution out;
-  out.solver_report.converged = true;
-  out.solver_report.iterations = 0;
-  out.solver_report.residual_norm = residual_linf_k;
-  out.temperature_k = numerics::Grid3<double>(nx, ny, nz, 0.0);
-  out.temperature_k.data() = std::move(temperatures);
-
-  out.peak_temperature_k = -1.0;
-  for (int iz = 0; iz < nz; ++iz) {
-    for (int iy = 0; iy < ny; ++iy) {
-      for (int ix = 0; ix < nx; ++ix) {
-        const double t = out.temperature_k(ix, iy, iz);
-        if (t > out.peak_temperature_k) {
-          out.peak_temperature_k = t;
-          out.peak_ix = ix;
-          out.peak_iy = iy;
-          out.peak_iz = iz;
-        }
-      }
-    }
-  }
-
-  out.die_maps_k.reserve(floorplans.size());
-  out.total_power_w = 0.0;
-  for (std::size_t die = 0; die < floorplans.size(); ++die) {
-    const int iz = die_source_iz_[die];
-    numerics::Grid2<double> map(nx, ny, 0.0);
-    for (int iy = 0; iy < ny; ++iy) {
-      for (int ix = 0; ix < nx; ++ix) {
-        map(ix, iy) = out.temperature_k(ix, iy, iz);
-      }
-    }
-    const chip::Floorplan& floorplan = *floorplans[die];
-    out.total_power_w += floorplan.total_power();
-    const std::string prefix = die == 0 ? "" : "die" + std::to_string(die) + ":";
-    const std::vector<double>& flat = map.data();
-    for (std::size_t b = 0; b < floorplan.blocks().size(); ++b) {
-      const BlockWeights& weights = block_weights_[die][b];
-      BlockTemperature bt;
-      bt.name = prefix + floorplan.blocks()[b].name;
-      double weighted = 0.0;
-      bt.max_k = 0.0;
-      for (const BlockWeight& w : weights.cells) {
-        weighted += flat[w.cell] * w.overlap;
-        bt.max_k = std::max(bt.max_k, flat[w.cell]);
-      }
-      bt.mean_k = weights.area > 0.0 ? weighted / weights.area : 0.0;
-      out.block_temperatures.push_back(std::move(bt));
-    }
-    out.die_maps_k.push_back(std::move(map));
-  }
-
-  if (m.stack().has_channels()) {
-    const int n_channels = m.channel_count();
-    out.channel_layers.resize(m.channel_specs_.size());
-    for (std::size_t layer = 0; layer < m.channel_specs_.size(); ++layer) {
-      ChannelLayerSolution& layer_out = out.channel_layers[layer];
-      layer_out.flow_m3_per_s = layer_flows_[layer];
-      layer_out.flow_fraction = operating_point_.total_flow_m3_per_s > 0.0
-                                    ? layer_flows_[layer] / operating_point_.total_flow_m3_per_s
-                                    : 0.0;
-      layer_out.fluid_axial_k.assign(static_cast<std::size_t>(n_channels),
-                                     std::vector<double>(static_cast<std::size_t>(ny), 0.0));
-      layer_out.outlet_k.assign(static_cast<std::size_t>(n_channels), 0.0);
-      const double per_channel_flow = layer_flows_[layer] / n_channels;
-
-      std::vector<int> fluid_z;
-      for (int iz = 0; iz < nz; ++iz) {
-        if (m.z_slices_[static_cast<std::size_t>(iz)].channel_layer ==
-            static_cast<int>(layer)) {
-          fluid_z.push_back(iz);
-        }
-      }
-      for (int ix = 0; ix < nx; ++ix) {
-        const int c = m.column_channel_[static_cast<std::size_t>(ix)];
-        if (c < 0) {
-          continue;
-        }
-        for (int iy = 0; iy < ny; ++iy) {
-          double sum = 0.0;
-          for (const int iz : fluid_z) {
-            sum += out.temperature_k(ix, iy, iz);
-          }
-          layer_out.fluid_axial_k[static_cast<std::size_t>(c)][static_cast<std::size_t>(iy)] =
-              sum / static_cast<double>(fluid_z.size());
-        }
-        layer_out.outlet_k[static_cast<std::size_t>(c)] =
-            layer_out.fluid_axial_k[static_cast<std::size_t>(c)].back();
-
-        for (const int iz : fluid_z) {
-          const double flow_fraction = m.z_slices_[static_cast<std::size_t>(iz)].dz /
-                                       m.channel_specs_[layer].layer_height_m;
-          const double c_adv = operating_point_.coolant.volumetric_heat_capacity_j_per_m3_k *
-                               per_channel_flow * flow_fraction;
-          layer_out.heat_absorbed_w +=
-              c_adv * (out.temperature_k(ix, ny - 1, iz) -
-                       operating_point_.inlet_temperature_k);
-        }
-      }
-      out.fluid_heat_absorbed_w += layer_out.heat_absorbed_w;
-    }
-  }
-  if (m.stack().top_heat_transfer_w_per_m2_k > 0.0) {
-    const int iz = nz - 1;
-    const auto& slice = m.z_slices_[static_cast<std::size_t>(iz)];
-    for (int iy = 0; iy < ny; ++iy) {
-      for (int ix = 0; ix < nx; ++ix) {
-        if (m.is_fluid(ix, iz)) {
-          continue;
-        }
-        const double area = m.dx_[static_cast<std::size_t>(ix)] * m.dy_;
-        const double resistance =
-            slice.dz / 2.0 / slice.material.thermal_conductivity_w_per_m_k +
-            1.0 / m.stack().top_heat_transfer_w_per_m2_k;
-        out.top_heat_rejected_w +=
-            area / resistance *
-            (out.temperature_k(ix, iy, iz) - m.stack().ambient_temperature_k);
-      }
-    }
-  }
-  if (out.total_power_w > 0.0) {
-    out.energy_balance_error =
-        std::abs(out.total_power_w - out.fluid_heat_absorbed_w - out.top_heat_rejected_w) /
-        out.total_power_w;
-  }
-  return out;
 }
 
 }  // namespace brightsi::thermal

@@ -8,10 +8,10 @@
 // an orthonormal basis V (numerics/model_reduction.h) per distinct step
 // length and steps the k-dimensional system (V'AV) y = V'b instead —
 // a dense LU solve of size k (tens) in place of a preconditioned BiCGSTAB
-// solve of size n (tens of thousands). The lifted iterate x = V y feeds the
-// same solution packaging as the full path (peak, block temperatures,
-// outlet temperatures, energy bookkeeping), with the block overlap weights
-// precomputed once per floorplan geometry.
+// solve of size n (tens of thousands). The lifted iterate x = V y is
+// packaged by the model's own ThermalModel::package_solution (peak, block
+// temperatures, outlet temperatures, energy bookkeeping), the one packager
+// of the full and reduced paths.
 //
 // The certificate: with r = b - A (V y) the true error satisfies
 //   ||x_exact - V y||_inf  <=  ||r||_inf / margin,
@@ -113,10 +113,6 @@ class ReducedThermalModel {
   [[nodiscard]] double certified_bound_k(const DtModel& dt_model,
                                          std::span<const double> rhs,
                                          std::span<const double> solution);
-  void refresh_block_weights(std::span<const chip::Floorplan* const> floorplans);
-  [[nodiscard]] ThermalSolution package(std::vector<double> temperatures,
-                                        std::span<const chip::Floorplan* const> floorplans,
-                                        double residual_linf_k);
 
   const ThermalModel* model_;
   OperatingPoint operating_point_;
@@ -125,23 +121,8 @@ class ReducedThermalModel {
   std::vector<double> layer_flows_;      // layer_flow_split(op), fixed per mission
   std::vector<double> steady_diagonal_;  // diag(K): isolates C/dt per step length
   std::vector<double> b_zero_;           // state/power-independent RHS (inlet + ambient)
-  std::vector<double> y_edges_;          // rasterization grid, shared with the model
-  std::vector<int> die_source_iz_;       // z-slice of each die's heat injection
 
   std::vector<std::unique_ptr<DtModel>> dt_models_;
-
-  // Per-(die, block) solution-packaging weights: the overlap list of every
-  // floorplan block, rebuilt only when a die's block footprints change.
-  struct BlockWeight {
-    std::size_t cell = 0;  // iy * nx + ix into the die map
-    double overlap = 0.0;  // m^2
-  };
-  struct BlockWeights {
-    std::vector<BlockWeight> cells;
-    double area = 0.0;
-  };
-  std::vector<std::vector<BlockWeights>> block_weights_;     // [die][block]
-  std::vector<std::vector<chip::Rect>> cached_footprints_;   // [die][block]
 
   // Power-map rasterization cache: within a workload phase the per-step
   // floorplans repeat (apply_phase rebuilds value-identical blocks), so

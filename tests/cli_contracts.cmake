@@ -9,6 +9,10 @@
 #   shard_merge
 #       three shards of operating_grid (0/3 at 1 thread, 1/3 at 2, 2/3 at 4)
 #       filling one store merge to the CSV of a direct run;
+#   rom_shard_merge
+#       two shards of mission_endurance --transient rom filling one store
+#       merge (brightsi_merge --transient rom) to the CSV of an unsharded
+#       run;
 #   kill_resume
 #       a run stopped after 3 fresh rows (--limit 3), then resumed on the
 #       same store, writes the CSV of a direct run;
@@ -69,8 +73,8 @@ function(run_direct_operating_grid)
 endfunction()
 
 # A partial run leaves rows pending and exits 1; it must not crash.
-function(run_partial_operating_grid)
-  run(EXIT_CODES 0 1 COMMAND "${SWEEP}" operating_grid ${ARGN} --quiet)
+function(run_partial_sweep)
+  run(EXIT_CODES 0 1 COMMAND "${SWEEP}" ${ARGN} --quiet)
 endfunction()
 
 if(CASE STREQUAL "rom_threads")
@@ -81,14 +85,24 @@ elseif(CASE STREQUAL "fleet_rack_threads")
   expect_thread_count_invariant(fleet_rack)
 elseif(CASE STREQUAL "shard_merge")
   run_direct_operating_grid()
-  run_partial_operating_grid(--store sharded.store --shard 0/3 --threads 1)
-  run_partial_operating_grid(--store sharded.store --shard 1/3 --threads 2)
-  run_partial_operating_grid(--store sharded.store --shard 2/3 --threads 4)
+  run_partial_sweep(operating_grid --store sharded.store --shard 0/3 --threads 1)
+  run_partial_sweep(operating_grid --store sharded.store --shard 1/3 --threads 2)
+  run_partial_sweep(operating_grid --store sharded.store --shard 2/3 --threads 4)
   run(COMMAND "${MERGE}" operating_grid --store sharded.store --csv merged.csv --quiet)
+  expect_identical(direct.csv merged.csv)
+elseif(CASE STREQUAL "rom_shard_merge")
+  run(COMMAND "${SWEEP}" mission_endurance --transient rom --threads 4 --csv direct.csv
+              --quiet)
+  run_partial_sweep(mission_endurance --transient rom --store rom.store --shard 0/2
+                    --threads 2)
+  run_partial_sweep(mission_endurance --transient rom --store rom.store --shard 1/2
+                    --threads 2)
+  run(COMMAND "${MERGE}" mission_endurance --transient rom --store rom.store
+              --csv merged.csv --quiet)
   expect_identical(direct.csv merged.csv)
 elseif(CASE STREQUAL "kill_resume")
   run_direct_operating_grid()
-  run_partial_operating_grid(--store killed.store --limit 3 --threads 2)
+  run_partial_sweep(operating_grid --store killed.store --limit 3 --threads 2)
   run(COMMAND "${SWEEP}" operating_grid --store killed.store --threads 4
               --csv resumed.csv --quiet)
   expect_identical(direct.csv resumed.csv)

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -24,6 +26,9 @@
 #include "numerics/sparse_matrix.h"
 #include "pdn/power_grid.h"
 #include "thermal/model.h"
+#include "thermal/solve_context.h"
+
+#include "block_scan.h"
 
 namespace ec = brightsi::electrochem;
 namespace fc = brightsi::flowcell;
@@ -672,6 +677,101 @@ TEST_P(StackEnergyBalanceSweep, RandomizedStacksConserveEnergy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StackEnergyBalanceSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// --------------------------------------- block temperatures vs a full scan
+// The packager visits only the columns and rows around each block. Over
+// random floorplans cut to stress that window (blocks on the die edges,
+// narrower than a column, one row tall, abutting, cut exactly on column and
+// row edges), every block's mean and max must equal, bit for bit, a scan of
+// every cell of the die map (tests/block_scan.h).
+
+/// A random floorplan over the model's die, cut on a grid of lines that
+/// fall on column edges, on row edges, at random points and a quarter of
+/// the narrowest column apart; three grid cells in four become blocks, so
+/// blocks abut, touch the die edges, come narrower than a column and one
+/// row tall.
+ch::Floorplan random_block_floorplan(Lcg& rng, const th::ThermalModel& model) {
+  const double width = model.die_width_m();
+  const double height = model.die_height_m();
+  const double dy = height / model.ny();
+  const std::vector<double>& x_edges = model.x_edges();
+  double narrowest = width;
+  for (std::size_t i = 0; i + 1 < x_edges.size(); ++i) {
+    narrowest = std::min(narrowest, x_edges[i + 1] - x_edges[i]);
+  }
+  std::vector<double> xs = {0.0, width};
+  std::vector<double> ys = {0.0, height};
+  for (int k = 0; k < 5; ++k) {
+    xs.push_back(x_edges[static_cast<std::size_t>(rng.uniform_int(1, model.nx() - 1))]);
+    const double x = rng.uniform(0.0, width - narrowest);
+    xs.push_back(x);
+    xs.push_back(x + narrowest / 4.0);
+    ys.push_back(dy * rng.uniform_int(1, model.ny() - 1));
+    ys.push_back(rng.uniform(0.0, height));
+  }
+  const int row = rng.uniform_int(0, model.ny() - 1);
+  ys.push_back(dy * row);
+  ys.push_back(dy * (row + 1));
+  for (std::vector<double>* cuts : {&xs, &ys}) {
+    std::sort(cuts->begin(), cuts->end());
+    cuts->erase(std::unique(cuts->begin(), cuts->end()), cuts->end());
+  }
+
+  ch::Floorplan floorplan(width, height);
+  floorplan.set_background_power_density(ch::w_per_cm2(5.0));
+  for (std::size_t j = 0; j + 1 < ys.size(); ++j) {
+    for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+      if (rng.uniform_int(0, 3) == 0) {
+        continue;
+      }
+      ch::Block block;
+      block.name = "b" + std::to_string(j) + "_" + std::to_string(i);
+      block.footprint = {xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j]};
+      block.power_density_w_per_m2 = ch::w_per_cm2(rng.uniform(5.0, 150.0));
+      try {
+        floorplan.add_block(block);
+      } catch (const std::invalid_argument&) {
+        // x + (right - x) rounded past a neighbour's edge: skip the block.
+      }
+    }
+  }
+  return floorplan;
+}
+
+class BlockTemperatureWindowSweep
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};  // (channels, axial cells)
+
+TEST_P(BlockTemperatureWindowSweep, SteadyAndTransientBlocksMatchAFullScan) {
+  const auto [channels, axial_cells] = GetParam();
+  th::ThermalModel::GridSettings grid;
+  grid.axial_cells = axial_cells;
+  grid.solid_stack_x_cells = 37;
+  const th::ThermalModel model(
+      channels ? th::power7_microchannel_stack() : th::power7_conventional_stack(),
+      ch::kPower7DieWidthM, ch::kPower7DieHeightM, grid);
+  th::OperatingPoint op;
+  op.total_flow_m3_per_s = 676e-6 / 60.0;
+  op.inlet_temperature_k = 300.15;
+
+  Lcg rng(static_cast<std::uint64_t>(axial_cells) * 2 + (channels ? 1 : 0));
+  const ch::Floorplan steady_plan = random_block_floorplan(rng, model);
+  const ch::Floorplan transient_plan = random_block_floorplan(rng, model);
+  ASSERT_GT(steady_plan.blocks().size(), 20u);
+  ASSERT_GT(transient_plan.blocks().size(), 20u);
+
+  using brightsi::test_support::expect_blocks_match_full_scan;
+  const ch::Floorplan* steady[] = {&steady_plan};
+  expect_blocks_match_full_scan(model, model.solve_steady(steady, op), steady);
+
+  const ch::Floorplan* transient[] = {&transient_plan};
+  th::ThermalSolveContext context(model);
+  const th::ThermalSolution step = context.step_transient(
+      model.uniform_state(op.inlet_temperature_k), transient, op, 0.05);
+  expect_blocks_match_full_scan(model, step, transient);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, BlockTemperatureWindowSweep,
+                         ::testing::Combine(::testing::Bool(), ::testing::Values(3, 8, 16)));
 
 // ------------------------------------------------------ power-map invariants
 class RasterFilterSweep : public ::testing::TestWithParam<int> {};

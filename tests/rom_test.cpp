@@ -1,8 +1,9 @@
-// Tests of the reduced-order transient backend (thermal/rom.h): backend
-// name parsing, option validation, the certified error bound against the
-// exact full solve, full-vs-rom trajectory agreement within the cumulative
-// certificate on single-die / stacked / throttled workloads, and the
-// non-vacuity of the bound (a workload perturbation must trip a fallback).
+// Tests of the reduced-order transient backend (thermal/rom.h): the
+// backend names, the certified error bound against the exact full solve,
+// full-vs-rom trajectory agreement within the cumulative certificate on
+// single-die / stacked / throttled workloads, the non-vacuity of the bound
+// (a workload perturbation must trip a fallback), and the block
+// temperatures of reduced steps against a full scan of their die maps.
 #include <cmath>
 #include <cstddef>
 #include <optional>
@@ -18,6 +19,8 @@
 #include "thermal/rom.h"
 #include "thermal/stack.h"
 #include "thermal/transient.h"
+
+#include "block_scan.h"
 
 namespace th = brightsi::thermal;
 namespace ch = brightsi::chip;
@@ -263,6 +266,51 @@ TEST(RomFallback, WorkloadPerturbationTripsTheBound) {
   EXPECT_GT(rom.rom.full_steps, 1);
   EXPECT_GT(rom.rom.max_rejected_bound_k, rom.rom.max_accepted_bound_k);
   EXPECT_GT(rom.rom.max_rejected_bound_k, th::kRomToleranceK);
+}
+
+// -------------------------------------------------------------- packaging
+
+/// Runs the rom backend over a burst trace and checks every step's block
+/// temperatures, reduced or full, against a full scan of its die maps;
+/// returns the number of reduced steps checked.
+long long check_blocks_of_rom_steps(const th::ThermalModel& model,
+                                    th::TransientEngineOptions options) {
+  options.backend = th::TransientBackend::kRom;
+  options.schedule.dt_s = 0.1;
+  const ch::Power7PowerSpec spec;
+  std::vector<ch::Floorplan> dies = options.upper_die_floorplans;
+  dies.insert(dies.begin(), ch::make_power7_floorplan(spec));  // the workload's die
+  th::TransientEngine engine(model, nominal_op(), options);
+  engine.run(
+      ch::burst_trace(1),
+      [&](const ch::WorkloadPhase& phase, const th::TransientStep&) {
+        dies.front() = ch::apply_phase(spec, phase);
+        return dies.front();
+      },
+      [&](const th::TransientEngine::StepView& view) {
+        std::vector<const ch::Floorplan*> floorplans;
+        for (const ch::Floorplan& die : dies) {
+          floorplans.push_back(&die);
+        }
+        brightsi::test_support::expect_blocks_match_full_scan(model, view.solution,
+                                                              floorplans);
+      });
+  return engine.rom()->stats().rom_steps;
+}
+
+TEST(RomPackaging, SingleDieReducedStepsMatchAFullScanBitwise) {
+  EXPECT_GT(check_blocks_of_rom_steps(make_model(8), {}), 0);
+}
+
+TEST(RomPackaging, ThreeDieReducedStepsMatchAFullScanBitwise) {
+  th::ThermalModel::GridSettings grid;
+  grid.axial_cells = 8;
+  const th::ThermalModel model(th::multi_die_stack(3), ch::kPower7DieWidthM,
+                               ch::kPower7DieHeightM, grid);
+  th::TransientEngineOptions options;
+  options.upper_die_floorplans = {ch::make_power7_floorplan(ch::memory_die_power_spec()),
+                                  ch::make_power7_floorplan(ch::memory_die_power_spec())};
+  EXPECT_GT(check_blocks_of_rom_steps(model, options), 0);
 }
 
 // ---------------------------------------------------------------- mission

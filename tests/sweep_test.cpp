@@ -275,6 +275,36 @@ TEST(SweepRunner, FailedScenarioBecomesARowNotAnAbort) {
   EXPECT_EQ(result.failure_count(), 1);
 }
 
+TEST(SweepRunner, NonFiniteMetricFailsTheRowByName) {
+  // One check for every evaluator: a stub whose second metric comes back
+  // NaN, then +inf, fails its row naming that metric, and the JSON carries
+  // null, never a bare nan or inf token.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    sw::SweepPlan plan;
+    plan.name = "non_finite";
+    plan.base = co::power7_system_config();
+    plan.evaluator.name = "stub";
+    plan.evaluator.metrics = {"power_w", "peak_k"};
+    plan.evaluator.fn = [bad](const co::SystemConfig&, const sw::ScenarioSpec&,
+                              sw::WorkerState&) { return std::vector<double>{1.5, bad}; };
+    sw::ScenarioSpec scenario;
+    scenario.name = "stub row";
+    plan.add(scenario);
+
+    const sw::SweepResult result = sw::SweepRunner({1}).run(plan);
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_TRUE(result.rows[0].failed) << bad;
+    EXPECT_NE(result.rows[0].error.find("'stub'"), std::string::npos) << result.rows[0].error;
+    EXPECT_NE(result.rows[0].error.find("'peak_k'"), std::string::npos)
+        << result.rows[0].error;
+    const std::string json = json_of(result);
+    EXPECT_NE(json.find("\"peak_k\": null"), std::string::npos) << json;
+    for (const char* bare : {": nan", ": -nan", ": inf", ": -inf"}) {
+      EXPECT_EQ(json.find(bare), std::string::npos) << json;
+    }
+  }
+}
+
 TEST(SweepRegistry, PlansValidateAndCarryTheirDesignPoints) {
   for (const sw::PlanDescription& description : sw::registered_plans()) {
     const sw::SweepPlan plan = sw::make_registered_plan(description.name);

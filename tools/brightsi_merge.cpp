@@ -89,14 +89,8 @@ int main(int argc, char** argv) {
     }
 
     sw::SweepPlan plan = sw::make_registered_plan(command);
-    // Mirror brightsi_sweep's flag-to-override stamping exactly, so the
-    // expanded scenarios hash to the same store keys.
     if (transient_name == "rom") {
-      for (sw::ScenarioSpec& scenario : plan.scenarios) {
-        if (!scenario.get("transient")) {
-          scenario.set("transient", 1.0);
-        }
-      }
+      sw::stamp_rom_transient(plan);
     }
     plan.validate();
 

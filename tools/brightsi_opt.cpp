@@ -17,6 +17,8 @@
 //   --screen-factor K nsga2 offspring proposed per real evaluation slot
 //                     (default 3; 1 disables the surrogate screen)
 //   --seed S          nsga2 RNG seed, unsigned 64-bit (fixed default)
+//                     (a grid-only or nsga2-only flag under the other
+//                     algorithm is an error)
 //   --maximize M[*W]  replace the study's objective *terms*: maximize M
 //   --minimize M[*W]  ... or minimize it (repeatable; weights optional).
 //                     The study's built-in hard constraints and Pareto
@@ -152,6 +154,9 @@ int main(int argc, char** argv) {
     std::string store_dir;
     std::vector<op::ObjectiveTerm> term_overrides;
     std::vector<op::MetricConstraint> extra_constraints;
+    // The first flag seen that only one algorithm reads.
+    std::string nsga2_only_flag;
+    std::string grid_only_flag;
 
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -159,6 +164,13 @@ int main(int argc, char** argv) {
       auto next_int = [&](int minimum) {
         return brightsi::tools::next_int_arg(argc, argv, i, arg, minimum);
       };
+      if ((arg == "--population" || arg == "--screen-factor" || arg == "--seed") &&
+          nsga2_only_flag.empty()) {
+        nsga2_only_flag = arg;
+      }
+      if ((arg == "--axis-points" || arg == "--no-polish") && grid_only_flag.empty()) {
+        grid_only_flag = arg;
+      }
       if (arg == "--algo") {
         algo = brightsi::tools::next_choice_arg(argc, argv, i, arg, {"grid", "nsga2"});
       } else if (arg == "--budget") {
@@ -201,6 +213,12 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (algo != "nsga2" && !nsga2_only_flag.empty()) {
+      throw std::invalid_argument(nsga2_only_flag + " applies to --algo nsga2 only");
+    }
+    if (algo != "grid" && !grid_only_flag.empty()) {
+      throw std::invalid_argument(grid_only_flag + " applies to --algo grid only");
+    }
     op::Study study = op::make_registered_study(command);
     if (!term_overrides.empty()) {
       study.objective.terms = term_overrides;

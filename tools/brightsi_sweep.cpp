@@ -6,7 +6,8 @@
 //   brightsi_sweep <plan> [options]            run a registered plan
 //   brightsi_sweep custom --evaluator <name>
 //       --grid p=v1,v2,... [--grid ...] [--set p=v ...]   ad-hoc sweep
-//       (--list shows the evaluators)
+//       (--list shows the evaluators; on a registered plan these three
+//       flags are an error)
 //
 // Options:
 //   --threads N     worker threads (default: hardware concurrency)
@@ -176,11 +177,16 @@ int main(int argc, char** argv) {
     std::string transient_name;
     std::vector<sw::GridAxis> grid_axes;
     std::vector<std::pair<std::string, double>> fixed;
+    std::string custom_only_flag;  // the first flag only a custom sweep reads
     sw::ShardOptions shard;
 
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       auto next = [&] { return brightsi::tools::next_arg(argc, argv, i, arg); };
+      if ((arg == "--evaluator" || arg == "--grid" || arg == "--set") &&
+          custom_only_flag.empty()) {
+        custom_only_flag = arg;
+      }
       if (arg == "--threads") {
         // 0 keeps the "hardware concurrency" default.
         options.thread_count = brightsi::tools::next_int_arg(argc, argv, i, arg, 0);
@@ -222,6 +228,9 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (command != "custom" && !custom_only_flag.empty()) {
+      throw std::invalid_argument(custom_only_flag + " applies to custom sweeps only");
+    }
     sw::SweepPlan plan;
     if (command == "custom") {
       if (evaluator_name.empty() || grid_axes.empty()) {
@@ -236,13 +245,7 @@ int main(int argc, char** argv) {
       plan = sw::make_registered_plan(command);
     }
     if (transient_name == "rom") {
-      // Stamp the backend onto every scenario (an explicit per-scenario
-      // transient= override wins; ScenarioSpec::set replaces in place).
-      for (sw::ScenarioSpec& scenario : plan.scenarios) {
-        if (!scenario.get("transient")) {
-          scenario.set("transient", 1.0);
-        }
-      }
+      sw::stamp_rom_transient(plan);
     }
     plan.validate();
 
